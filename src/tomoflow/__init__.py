@@ -21,14 +21,7 @@ from .grid import (
     sample_bilinear,
 )
 from .kernel import KernelSpec, kernel_value, make_kernel, smooth
-from .objective import (
-    ObjectiveValue,
-    data_discrepancy,
-    discrepancy_gradient_image,
-    gradient_geometric,
-    gradient_mass_preserving,
-    velocity_norm_sq,
-)
+from .objective import ObjectiveValue, velocity_norm_sq
 from .optimize import RegistrationConfig, RegistrationResult, StopReason, register
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
 from .metrics import measure_snr, psnr, ssim
@@ -65,14 +58,10 @@ __all__ = [
     "VectorField2D",
     "add_noise",
     "back_projection",
-    "data_discrepancy",
     "deform",
-    "discrepancy_gradient_image",
     "divergence",
     "fbp",
     "gradient",
-    "gradient_geometric",
-    "gradient_mass_preserving",
     "integrate",
     "kernel_value",
     "make_kernel",

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -18,11 +20,11 @@ import scipy.fft
 
 from . import __version__
 from .action import GroupAction
-from .experiments import SUITE_IDS, run_suite
+from .experiments import SUITE_IDS, SuiteCase, run_case, run_suite
 from .grid import Grid2D
-from .io import config_hash, read_igrd, read_isin, write_igrd, write_isin, write_manifest, write_pgm16
+from .io import read_igrd, read_isin, write_igrd, write_isin, write_pgm16
 from .metrics import psnr, ssim
-from .optimize import RegistrationConfig, StopReason, register
+from .optimize import RegistrationConfig, StopReason
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
 from .tomo import fbp, make_parallel_geometry, ray_transform
 from .tv import TVConfig, tv_reconstruct
@@ -35,10 +37,6 @@ EXIT_IO = 3
 
 class ConfigError(ValueError):
     pass
-
-
-def _default_grid(size: int) -> Grid2D:
-    return Grid2D(size, size)
 
 
 # --- register config -----------------------------------------------------
@@ -55,8 +53,8 @@ _CONFIG_SCHEMA = {
 _REQUIRED_SECTIONS = ("phantom", "geometry", "registration")
 
 
-def load_experiment_config(path) -> dict:
-    """Parse and validate the INI config; unknown sections or keys are errors."""
+def _parse_config(path) -> tuple[SuiteCase, str]:
+    """The run described by the INI config, and its [output] dir."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -71,10 +69,10 @@ def load_experiment_config(path) -> dict:
         if section not in parser:
             raise ConfigError(f"missing required section [{section}]")
 
-    def need(section, key, convert, validate=None, describe=""):
-        if key not in parser[section]:
+    def need(section, key, convert, validate=None, describe="", default=None):
+        if key not in parser[section] and default is None:
             raise ConfigError(f"missing key {key!r} in section [{section}]")
-        raw = parser[section][key]
+        raw = parser[section].get(key, default)
         try:
             value = convert(raw)
         except ValueError as exc:
@@ -83,16 +81,10 @@ def load_experiment_config(path) -> dict:
             raise ConfigError(f"invalid [{section}] {key} = {raw!r}{describe}")
         return value
 
-    cfg = {
-        "template_kind": need("phantom", "template_kind", PhantomKind.parse),
-        "target_kind": need("phantom", "target_kind", PhantomKind.parse),
-        "size": need("phantom", "size", int, lambda v: v >= 2, " (need >= 2)"),
-        "n_angles": need("geometry", "n_angles", int, lambda v: v >= 1, " (need >= 1)"),
-        "n_detectors": need("geometry", "n_detectors", int, lambda v: v >= 2, " (need >= 2)"),
-    }
+    size = need("phantom", "size", int, lambda v: v >= 2, " (need >= 2)")
     reg = parser["registration"]
     try:
-        cfg["registration"] = RegistrationConfig(
+        cfg = RegistrationConfig(
             gamma=need("registration", "gamma", float, lambda v: v >= 0, " (need >= 0)"),
             sigma=need("registration", "sigma", float, lambda v: v > 0, " (need > 0)"),
             alpha=need("registration", "alpha", float, lambda v: v > 0, " (need > 0)"),
@@ -103,22 +95,33 @@ def load_experiment_config(path) -> dict:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if "noise" in parser:
-        cfg["noise"] = NoiseSpec(
-            target_snr_db=need("noise", "snr_db", float),
-            seed=int(parser["noise"].get("seed", "0")),
-        )
-    if "fbp" in parser:
-        cfg["fbp_freq_scaling"] = need(
+    noisy = "noise" in parser
+    case = SuiteCase(
+        name=Path(path).stem,
+        grid=Grid2D(size, size),
+        n_angles=need("geometry", "n_angles", int, lambda v: v >= 1, " (need >= 1)"),
+        n_detectors=need("geometry", "n_detectors", int, lambda v: v >= 2, " (need >= 2)"),
+        template_kind=need("phantom", "template_kind", PhantomKind.parse),
+        target_kind=need("phantom", "target_kind", PhantomKind.parse),
+        snr_db=need("noise", "snr_db", float) if noisy else math.inf,
+        noise_seed=need("noise", "seed", int, default="0") if noisy else 0,
+        cfg=cfg,
+        fbp_freq_scaling=need(
             "fbp", "freq_scaling", float, lambda v: 0 < v <= 1, " (need in (0, 1])"
-        )
-    if "tv" in parser:
-        cfg["tv"] = TVConfig(
-            mu=need("tv", "mu", float, lambda v: v > 0, " (need > 0)"),
-            n_iters=int(parser["tv"].get("iters", "1000")),
-        )
-    cfg["out_dir"] = parser.get("output", "dir", fallback="out")
-    return cfg
+        ) if "fbp" in parser else None,
+        tv_mu=need("tv", "mu", float, lambda v: v > 0, " (need > 0)") if "tv" in parser else None,
+        tv_iters=need(
+            "tv", "iters", int, lambda v: v >= 1, " (need >= 1)", default="1000"
+        ) if "tv" in parser else 1000,
+    )
+    return case, parser.get("output", "dir", fallback="out")
+
+
+def load_experiment_config(path) -> SuiteCase:
+    """Parse and validate the INI config into a case named after the file's
+    stem; unknown sections or keys are errors. Without [noise] the data
+    are noise-free (snr_db = inf)."""
+    return _parse_config(path)[0]
 
 
 # --- commands --------------------------------------------------------------
@@ -126,7 +129,7 @@ def load_experiment_config(path) -> dict:
 
 def cmd_phantom(args) -> int:
     kind = PhantomKind.parse(args.kind)
-    img = make_phantom(PhantomSpec(kind, _default_grid(args.size)))
+    img = make_phantom(PhantomSpec(kind, Grid2D(args.size, args.size)))
     write_igrd(args.out, img)
     if args.preview:
         write_pgm16(Path(args.out).with_suffix(".pgm"), img)
@@ -148,7 +151,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_fbp(args) -> int:
-    grid = _default_grid(args.size)
+    grid = Grid2D(args.size, args.size)
     sino = read_isin(args.sinogram, grid=grid)
     rec = fbp(sino, grid, args.freq_scaling)
     write_igrd(args.out, rec)
@@ -157,7 +160,7 @@ def cmd_fbp(args) -> int:
 
 
 def cmd_tv(args) -> int:
-    grid = _default_grid(args.size)
+    grid = Grid2D(args.size, args.size)
     sino = read_isin(args.sinogram, grid=grid)
     rec = tv_reconstruct(sino, grid, TVConfig(mu=args.mu, n_iters=args.iters))
     write_igrd(args.out, rec)
@@ -177,61 +180,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_register(args) -> int:
-    cfg = load_experiment_config(args.config)
-    out_dir = Path(args.out or cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    grid = _default_grid(cfg["size"])
-    template = make_phantom(PhantomSpec(cfg["template_kind"], grid))
-    target = make_phantom(PhantomSpec(cfg["target_kind"], grid))
-    geom = make_parallel_geometry(grid, cfg["n_angles"], cfg["n_detectors"])
-    data = ray_transform(target, geom)
-    if "noise" in cfg:
-        noise = cfg["noise"]
-        if args.seed is not None:
-            noise = NoiseSpec(noise.target_snr_db, args.seed)
-        data = add_noise(data, noise)
-
-    rows = []
-    result = register(
-        template,
-        data,
-        geom,
-        cfg["registration"],
-        progress=lambda k, v, gn: rows.append((k, v.total, v.penalty, v.discrepancy, gn)),
-    )
-
-    for i, img in enumerate(result.trajectory):
-        write_igrd(out_dir / f"trajectory_{i:03d}.igrd", img)
-        write_pgm16(out_dir / f"trajectory_{i:03d}.pgm", img)
-    write_isin(out_dir / "data.isin", data)
-    log_path = Path(args.log_csv) if args.log_csv else out_dir / "objective.csv"
-    with open(log_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "total", "penalty", "discrepancy", "grad_norm"])
-        writer.writerows(rows)
-    final = result.trajectory[-1]
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ssim", "psnr_db", "iterations", "stop_reason"])
-        writer.writerow(
-            [f"{ssim(final, target):.6f}", f"{psnr(final, target):.4f}",
-             result.iterations_run, result.stop_reason.value]
-        )
-    if "fbp_freq_scaling" in cfg:
-        write_igrd(out_dir / "fbp.igrd", fbp(data, grid, cfg["fbp_freq_scaling"]))
-    if "tv" in cfg:
-        write_igrd(out_dir / "tv.igrd", tv_reconstruct(data, grid, cfg["tv"]))
-    write_manifest(
-        out_dir / "manifest.json",
-        {
-            "config_sha256": config_hash(args.config),
-            "seed": args.seed if args.seed is not None else cfg.get("noise", NoiseSpec(0.0)).seed,
-            "version": __version__,
-        },
-    )
-
-    if result.stop_reason is StopReason.NUMERICAL_FAILURE:
+    case, config_out = _parse_config(args.config)
+    if args.seed is not None:
+        case = dataclasses.replace(case, noise_seed=args.seed)
+    res = run_case(case, Path(args.out or config_out), log_csv=args.log_csv)
+    if res.registration.stop_reason is StopReason.NUMERICAL_FAILURE:
         print("register: stopped on numerical failure; last finite iterate written", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -258,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--threads", type=int, default=1, help="FFT worker threads")
-    parser.add_argument("--out", default=None, help="output directory or file override")
-    parser.add_argument("--seed", type=int, default=None, help="noise seed override")
-    parser.add_argument("--log-csv", default=None, help="objective log CSV path")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="rasterize a phantom to IGRD")
@@ -286,6 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("register", help="run indirect registration from a config file")
     p.add_argument("--config", required=True)
+    p.add_argument("--out", default=None, help="output directory (default: [output] dir)")
+    p.add_argument("--seed", type=int, default=None, help="noise seed override")
+    p.add_argument("--log-csv", default=None, help="also write the objective log to this CSV")
     p.set_defaults(fn=cmd_register)
 
     p = sub.add_parser("fbp", help="filtered back projection of an ISIN sinogram")
@@ -312,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a full experiment suite")
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--full", action="store_true", help="paper-scale resolution")
+    p.add_argument("--out", default=None, help="output directory (default: suite<ID>_out)")
     p.set_defaults(fn=cmd_suite)
 
     return parser

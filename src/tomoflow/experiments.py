@@ -6,18 +6,22 @@ Suite 3: (sigma, gamma) sensitivity sweep on the head phantom, scored by
          SSIM/PSNR against the target.
 Suite 4: topology mismatch, template missing / having an extra object.
 
-Each run writes the deformed-template trajectory (IGRD plus PGM
-previews), a per-iteration objective CSV, a metrics CSV and a JSON
-manifest into its output directory.
+Each case, and each ``tomoflow register`` config, runs through
+``run_case``, which writes the deformed-template trajectory (IGRD plus
+PGM previews), a per-iteration objective CSV, a metrics CSV, the
+baselines and a JSON manifest into its output directory.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from . import __version__
 from .action import GroupAction
 from .grid import Grid2D, ScalarImage
 from .io import write_igrd, write_isin, write_manifest, write_pgm16
@@ -36,7 +40,10 @@ SUITE3_GAMMAS = (1e-7, 1e-5, 1e-3, 1e-1, 10.0)
 
 @dataclass(frozen=True)
 class SuiteCase:
-    """One registration run within a suite."""
+    """One registration run: a suite cell or a ``register`` config.
+
+    snr_db = inf means noise-free data.
+    """
 
     name: str
     grid: Grid2D
@@ -182,7 +189,7 @@ def run_case(case: SuiteCase, out_dir: Path | None = None, log_csv=None) -> Case
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_case_outputs(out, geom, clean, log_rows, out_dir)
+        _write_case_outputs(out, clean, log_rows, out_dir)
     if log_csv is not None:
         _write_objective_csv(Path(log_csv), log_rows)
     return out
@@ -195,7 +202,7 @@ def _write_objective_csv(path: Path, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_case_outputs(res: CaseResult, geom, clean, log_rows, out_dir: Path) -> None:
+def _write_case_outputs(res: CaseResult, clean, log_rows, out_dir: Path) -> None:
     case = res.case
     write_igrd(out_dir / "template.igrd", res.template)
     write_igrd(out_dir / "target.igrd", res.target)
@@ -204,6 +211,7 @@ def _write_case_outputs(res: CaseResult, geom, clean, log_rows, out_dir: Path) -
         write_igrd(out_dir / f"trajectory_{i:03d}.igrd", img)
         write_pgm16(out_dir / f"trajectory_{i:03d}.pgm", img)
     _write_objective_csv(out_dir / "objective.csv", log_rows)
+    snr = measure_snr(clean, res.data) if math.isfinite(case.snr_db) else math.inf  # noise-free
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "ssim", "psnr_db", "snr_db", "iterations", "stop_reason"])
@@ -212,7 +220,7 @@ def _write_case_outputs(res: CaseResult, geom, clean, log_rows, out_dir: Path) -
                 case.name,
                 f"{res.ssim_final:.6f}",
                 f"{res.psnr_final:.4f}",
-                f"{measure_snr(clean, res.data):.4f}",
+                f"{snr:.4f}",
                 res.registration.iterations_run,
                 res.registration.stop_reason.value,
             ]
@@ -240,8 +248,16 @@ def _write_case_outputs(res: CaseResult, geom, clean, log_rows, out_dir: Path) -
             "n_steps": case.cfg.n_steps,
             "max_iters": case.cfg.max_iters,
             "action": case.cfg.action.value,
+            "config_sha256": case_hash(case),
+            "version": __version__,
         },
     )
+
+
+def case_hash(case: SuiteCase) -> str:
+    """SHA-256 of the canonical JSON of every case parameter."""
+    canonical = json.dumps(asdict(case), sort_keys=True, default=lambda enum: enum.value)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def run_suite(suite_id: int, out_dir, full: bool = False) -> list[CaseResult]:

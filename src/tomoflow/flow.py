@@ -35,12 +35,6 @@ class FlowStabilityError(RuntimeError):
     (1/N) * velocity magnitude is too coarse for the current field."""
 
 
-def step_forward_map(v: VectorField2D, n_steps: int) -> DisplacementMap:
-    """Displacement of the one-step forward deformation x -> x + v(x)/N."""
-    inv_n = 1.0 / n_steps
-    return DisplacementMap(v.grid, inv_n * v.vx, inv_n * v.vy)
-
-
 def _pull(img: ScalarImage, v: VectorField2D, scale: float) -> ScalarImage:
     if img.grid != v.grid:
         raise GridMismatchError("image and velocity sample on different grids")

@@ -8,10 +8,8 @@ u32 n_detectors, f64 s_min/s_max, then angle-major f64 values.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -89,10 +87,6 @@ def write_pgm16(path, img: ScalarImage) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{g.nx} {g.ny}\n65535\n".encode("ascii"))
         fh.write(pixels.tobytes())
-
-
-def config_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_manifest(path, entries: dict) -> None:

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import GroupAction, deform
-from .flow import FlowChain, attach_backprop_field, build_flow_chain
+from .flow import FlowChain, build_flow_chain
 from .grid import ScalarImage, TimeVelocityField, VectorField2D, gradient
 from .kernel import KernelSpec, smooth
-from .tomo import Sinogram, SinogramGeometry, back_projection, ray_transform
+from .tomo import Sinogram, back_projection, ray_transform
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,12 @@ def time_weights(n_steps: int) -> np.ndarray:
     return w
 
 
-def data_discrepancy(f: ScalarImage, g: Sinogram) -> float:
-    """|T(f) - g|^2 in the weighted sinogram norm."""
+def data_term(f: ScalarImage, g: Sinogram) -> tuple[float, ScalarImage]:
+    """Discrepancy |T(f) - g|^2_Y and its image gradient 2 T*(T(f) - g)."""
     resid = ray_transform(f, g.geometry).values - g.values
-    return float(g.geometry.y_weight() * np.sum(resid * resid))
-
-
-def discrepancy_gradient_image(f: ScalarImage, g: Sinogram) -> ScalarImage:
-    """Image-space gradient of the discrepancy: 2 T*(T(f) - g)."""
-    resid = ray_transform(f, g.geometry).values - g.values
+    disc = float(g.geometry.y_weight() * np.sum(resid * resid))
     bp = back_projection(Sinogram(g.geometry, resid), f.grid)
-    return ScalarImage(f.grid, 2.0 * bp.values)
+    return disc, ScalarImage(f.grid, 2.0 * bp.values)
 
 
 def velocity_norm_sq(nu: TimeVelocityField) -> float:
@@ -70,18 +65,6 @@ def velocity_norm_sq(nu: TimeVelocityField) -> float:
     return total
 
 
-def velocity_inner(a: TimeVelocityField, b: TimeVelocityField) -> float:
-    """Discrete pairing matching velocity_norm_sq."""
-    if a.n_steps != b.n_steps or a.grid != b.grid:
-        raise ValueError("velocity fields are not compatible")
-    w = time_weights(a.n_steps)
-    area = a.grid.cell_area
-    total = 0.0
-    for wi, fa, fb in zip(w, a.fields, b.fields):
-        total += wi * area * float(np.sum(fa.vx * fb.vx + fa.vy * fb.vy))
-    return total
-
-
 def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
     arr[0, :] = 0.0
     arr[-1, :] = 0.0
@@ -90,63 +73,32 @@ def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _moment_geometric(chain: FlowChain, i: int) -> VectorField2D:
-    grad_t = gradient(chain.transported_template[i])
-    scale = chain.jacobian_to_one[i].values * chain.backprop_field[i].values
-    return VectorField2D(
-        grad_t.grid,
-        _zero_boundary_ring(scale * grad_t.vx),
-        _zero_boundary_ring(scale * grad_t.vy),
-    )
-
-
-def _moment_mass_preserving(chain: FlowChain, i: int) -> VectorField2D:
-    grad_b = gradient(chain.backprop_field[i])
-    scale = chain.jacobian_to_zero[i].values * chain.transported_template[i].values
-    return VectorField2D(
-        grad_b.grid,
-        _zero_boundary_ring(scale * grad_b.vx),
-        _zero_boundary_ring(scale * grad_b.vy),
-    )
-
-
-def _require(chain: FlowChain, attr: str) -> None:
-    if getattr(chain, attr) is None:
-        raise ValueError(f"flow chain is missing {attr}; build it for the matching action")
-
-
-def gradient_geometric(
-    nu: TimeVelocityField, chain: FlowChain, kernel: KernelSpec, gamma: float
-) -> TimeVelocityField:
-    """Velocity gradient of E under the geometric action."""
-    _require(chain, "jacobian_to_one")
-    _require(chain, "backprop_field")
-    out = []
-    for i, v in enumerate(nu.fields):
-        s = smooth(kernel, _moment_geometric(chain, i))
-        out.append(VectorField2D(v.grid, 2.0 * gamma * v.vx - s.vx, 2.0 * gamma * v.vy - s.vy))
-    return TimeVelocityField(out)
-
-
-def gradient_mass_preserving(
-    nu: TimeVelocityField, chain: FlowChain, kernel: KernelSpec, gamma: float
-) -> TimeVelocityField:
-    """Velocity gradient of E under the mass-preserving action."""
-    _require(chain, "jacobian_to_zero")
-    _require(chain, "backprop_field")
-    out = []
-    for i, v in enumerate(nu.fields):
-        s = smooth(kernel, _moment_mass_preserving(chain, i))
-        out.append(VectorField2D(v.grid, 2.0 * gamma * v.vx + s.vx, 2.0 * gamma * v.vy + s.vy))
-    return TimeVelocityField(out)
-
-
 def objective_gradient(
     nu: TimeVelocityField, chain: FlowChain, kernel: KernelSpec, gamma: float, action: GroupAction
 ) -> TimeVelocityField:
+    """Velocity gradient of E; the action picks the moment field and its sign."""
     if action is GroupAction.GEOMETRIC:
-        return gradient_geometric(nu, chain, kernel, gamma)
-    return gradient_mass_preserving(nu, chain, kernel, gamma)
+        jac, scaled, differentiated, combine = (
+            chain.jacobian_to_one, chain.backprop_field, chain.transported_template, np.subtract
+        )
+    else:
+        jac, scaled, differentiated, combine = (
+            chain.jacobian_to_zero, chain.transported_template, chain.backprop_field, np.add
+        )
+    if jac is None or chain.backprop_field is None:
+        raise ValueError("flow chain lacks the Jacobian or backprop field of this action")
+    out = []
+    for i, v in enumerate(nu.fields):
+        d = gradient(differentiated[i])
+        scale = jac[i].values * scaled[i].values
+        moment = VectorField2D(
+            d.grid, _zero_boundary_ring(scale * d.vx), _zero_boundary_ring(scale * d.vy)
+        )
+        s = smooth(kernel, moment)
+        out.append(
+            VectorField2D(v.grid, combine(2.0 * gamma * v.vx, s.vx), combine(2.0 * gamma * v.vy, s.vy))
+        )
+    return TimeVelocityField(out)
 
 
 def evaluate_objective(
@@ -158,13 +110,12 @@ def evaluate_objective(
 ):
     """Build the flow chain and evaluate E(nu).
 
-    Returns (value, chain, deformed, residual_sinogram); the chain has no
-    backprop field attached yet.
+    Returns (value, chain, deformed, grad_image) where grad_image is the
+    image-space discrepancy gradient 2 T*(T(deformed) - g); the chain has
+    no backprop field attached yet.
     """
     chain = build_flow_chain(template, nu, action)
     deformed = deform(action, chain)
-    resid = ray_transform(deformed, data.geometry).values - data.values
-    disc = float(data.geometry.y_weight() * np.sum(resid * resid))
-    pen = gamma * velocity_norm_sq(nu)
-    value = ObjectiveValue(penalty=pen, discrepancy=disc)
-    return value, chain, deformed, Sinogram(data.geometry, resid)
+    disc, grad_image = data_term(deformed, data)
+    value = ObjectiveValue(penalty=gamma * velocity_norm_sq(nu), discrepancy=disc)
+    return value, chain, deformed, grad_image

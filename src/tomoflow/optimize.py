@@ -19,7 +19,7 @@ from .objective import (
     objective_gradient,
     velocity_norm_sq,
 )
-from .tomo import Sinogram, SinogramGeometry, back_projection
+from .tomo import Sinogram, SinogramGeometry
 
 
 class StopReason(enum.Enum):
@@ -35,8 +35,7 @@ class RegistrationConfig:
     gamma weights the velocity penalty, sigma is the kernel width, alpha
     the descent step, n_steps the number of time intervals, max_iters the
     update budget and grad_tol the stopping threshold on the velocity
-    norm of the gradient. seed is reserved for randomized initialization
-    and unused by the default zero start.
+    norm of the gradient.
     """
 
     gamma: float
@@ -46,7 +45,6 @@ class RegistrationConfig:
     max_iters: int = 200
     grad_tol: float = 0.0
     action: GroupAction = GroupAction.GEOMETRIC
-    seed: int = 0
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -75,16 +73,11 @@ class RegistrationResult:
 ProgressFn = Callable[[int, ObjectiveValue, float], None]
 
 
-def _finite(nu: TimeVelocityField) -> bool:
-    return all(np.isfinite(f.vx).all() and np.isfinite(f.vy).all() for f in nu.fields)
-
-
 def register(
     template: ScalarImage,
     data: Sinogram,
     geom: SinogramGeometry,
     cfg: RegistrationConfig,
-    initial_velocity: TimeVelocityField | None = None,
     progress: ProgressFn | None = None,
 ) -> RegistrationResult:
     """Minimize E by fixed-step gradient descent from a zero velocity field.
@@ -99,9 +92,7 @@ def register(
         raise ValueError("sinogram geometry does not match the requested geometry")
     grid = template.grid
     kern = make_kernel(grid, cfg.sigma)
-    nu = initial_velocity.copy() if initial_velocity is not None else TimeVelocityField.zeros(grid, cfg.n_steps)
-    if nu.n_steps != cfg.n_steps or nu.grid != grid:
-        raise ValueError("initial velocity does not match the configuration")
+    nu = TimeVelocityField.zeros(grid, cfg.n_steps)
 
     history: list[ObjectiveValue] = []
     last_nu = nu.copy()
@@ -110,7 +101,7 @@ def register(
 
     for k in range(cfg.max_iters + 1):
         try:
-            value, chain, deformed, resid = evaluate_objective(
+            value, chain, deformed, grad_img = evaluate_objective(
                 template, nu, data, cfg.action, cfg.gamma
             )
         except FlowStabilityError:
@@ -122,7 +113,6 @@ def register(
         last_nu = nu.copy()
         last_traj = chain.transported_template
 
-        grad_img = ScalarImage(grid, 2.0 * back_projection(resid, grid).values)
         attach_backprop_field(chain, grad_img, nu)
         grad = objective_gradient(nu, chain, kern, cfg.gamma, cfg.action)
         grad_norm = math.sqrt(velocity_norm_sq(grad))

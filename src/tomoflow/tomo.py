@@ -147,10 +147,6 @@ def _system_matrix(grid: Grid2D, geom: SinogramGeometry) -> scipy.sparse.csr_mat
     return mat
 
 
-def clear_projector_cache() -> None:
-    _matrix_cache.clear()
-
-
 def ray_transform(img: ScalarImage, geom: SinogramGeometry) -> Sinogram:
     """Line integrals of the image over every (angle, detector offset) pair."""
     mat = _system_matrix(img.grid, geom)
@@ -168,8 +164,11 @@ def back_projection(sino: Sinogram, grid: Grid2D) -> ScalarImage:
 
 
 def fbp(sino: Sinogram, grid: Grid2D, freq_scaling: float) -> ScalarImage:
-    """Filtered back projection: ramp * Hamming filter, linear-interpolation
-    back projector scaled by pi / n_angles."""
+    """Filtered back projection: each projection is filtered with a ramp
+    times a Hamming window cut off at freq_scaling times the detector
+    Nyquist frequency, then back-projected with back_projection, whose
+    scale hs * (pi / n_angles) / (hx * hy) approximates the continuum back
+    projection over [0, 180) degrees."""
     if not 0.0 < freq_scaling <= 1.0:
         raise ValueError(f"freq_scaling must be in (0, 1], got {freq_scaling}")
     geom = sino.geometry
@@ -185,12 +184,4 @@ def fbp(sino: Sinogram, grid: Grid2D, freq_scaling: float) -> ScalarImage:
 
     spectra = scipy.fft.rfft(sino.values, n=n_pad, axis=1)
     filtered = scipy.fft.irfft(spectra * response[None, :], n=n_pad, axis=1)[:, :geom.n_detectors]
-
-    X, Y = grid.meshgrid()
-    s_centers = geom.detector_centers()
-    out = np.zeros(grid.shape)
-    for k, theta in enumerate(geom.angles_rad()):
-        s = X * math.cos(theta) + Y * math.sin(theta)
-        out += np.interp(s, s_centers, filtered[k], left=0.0, right=0.0)
-    out *= np.pi / geom.n_angles
-    return ScalarImage(grid, out)
+    return back_projection(Sinogram(geom, filtered), grid)

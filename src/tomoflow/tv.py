@@ -21,17 +21,12 @@ from .tomo import Sinogram, SinogramGeometry, _system_matrix
 class TVConfig:
     mu: float
     n_iters: int = 1000
-    tau: float | None = None        # primal step; default 0.99 / |K|
-    sigma_pd: float | None = None   # dual step; default 0.99 / |K|
-    theta: float = 1.0
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("mu must be > 0")
         if self.n_iters < 1:
             raise ValueError("n_iters must be >= 1")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must be in [0, 1]")
 
 
 def _forward_grad(f: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
@@ -75,16 +70,15 @@ def operator_norm_estimate(
 
 
 def tv_reconstruct(data: Sinogram, grid: Grid2D, cfg: TVConfig) -> ScalarImage:
-    """Primal-dual iterations from a zero start; deterministic."""
+    """Primal-dual iterations from a zero start; deterministic.
+
+    Both step sizes are 0.99 / |K|, so tau * sigma * |K|^2 < 1, and the
+    over-relaxation parameter is 1.
+    """
     geom = data.geometry
     mat = _system_matrix(grid, geom)
     norm_k = operator_norm_estimate(geom, grid)
-    tau = cfg.tau if cfg.tau is not None else 0.99 / norm_k
-    sigma = cfg.sigma_pd if cfg.sigma_pd is not None else 0.99 / norm_k
-    if tau * sigma * norm_k**2 > 1.0 + 1e-9:
-        raise ValueError(
-            f"step sizes violate tau*sigma*|K|^2 <= 1 (got {tau * sigma * norm_k**2:.4f})"
-        )
+    tau = sigma = 0.99 / norm_k
 
     w_y = geom.y_weight()
     ball = cfg.mu * grid.cell_area
@@ -110,16 +104,7 @@ def tv_reconstruct(data: Sinogram, grid: Grid2D, cfg: TVConfig) -> ScalarImage:
         x_old = x
         descent = (mat.T @ p).reshape(grid.shape) + _grad_transpose(qx, qy, grid.hx, grid.hy)
         x = x - tau * descent
-        x_bar = x + cfg.theta * (x - x_old)
+        x_bar = x + (x - x_old)
 
     return ScalarImage(grid, x)
 
-
-def tv_objective(f: ScalarImage, data: Sinogram, mu: float) -> float:
-    """Primal objective mu*TV(f) + |Tf - g|^2_Y (for monitoring)."""
-    from .tomo import ray_transform
-
-    gx, gy = _forward_grad(f.values, f.grid.hx, f.grid.hy)
-    tv = float(np.sum(np.sqrt(gx * gx + gy * gy)) * f.grid.cell_area)
-    resid = ray_transform(f, data.geometry).values - data.values
-    return mu * tv + float(data.geometry.y_weight() * np.sum(resid * resid))

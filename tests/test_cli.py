@@ -1,10 +1,11 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from tomoflow.cli import EXIT_OK, EXIT_USAGE, load_experiment_config, main, ConfigError
+from tomoflow.cli import EXIT_OK, EXIT_USAGE, build_parser, load_experiment_config, main, ConfigError
 from tomoflow.io import read_igrd, read_isin
 
 CONFIG = """
@@ -41,10 +42,12 @@ def config_path(tmp_path):
 
 
 def test_config_parses(config_path):
-    cfg = load_experiment_config(config_path)
-    assert cfg["size"] == 32
-    assert cfg["registration"].n_steps == 5
-    assert cfg["noise"].seed == 11
+    case = load_experiment_config(config_path)
+    assert case.name == "run"
+    assert case.grid.nx == case.grid.ny == 32
+    assert case.cfg.n_steps == 5
+    assert case.noise_seed == 11
+    assert case.fbp_freq_scaling is None and case.tv_mu is None
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -63,7 +66,7 @@ def test_config_rejects_bad_sigma(tmp_path):
 
 def test_register_command_outputs(tmp_path, config_path):
     out = tmp_path / "results"
-    rc = main(["--out", str(out), "register", "--config", str(config_path)])
+    rc = main(["register", "--config", str(config_path), "--out", str(out)])
     assert rc == EXIT_OK
     trajectories = sorted(out.glob("trajectory_*.igrd"))
     assert len(trajectories) == 6  # n_steps + 1
@@ -71,6 +74,7 @@ def test_register_command_outputs(tmp_path, config_path):
     assert (out / "metrics.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 11
+    assert len(manifest["config_sha256"]) == 64
     assert "numpy" in manifest["versions"]
     with open(out / "objective.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -81,10 +85,32 @@ def test_register_command_outputs(tmp_path, config_path):
 def test_register_rerun_is_bit_identical(tmp_path, config_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    assert main(["--out", str(out1), "register", "--config", str(config_path)]) == EXIT_OK
-    assert main(["--out", str(out2), "register", "--config", str(config_path)]) == EXIT_OK
+    assert main(["register", "--config", str(config_path), "--out", str(out1)]) == EXIT_OK
+    assert main(["register", "--config", str(config_path), "--out", str(out2)]) == EXIT_OK
     for name in ("trajectory_005.igrd", "data.isin"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_register_without_noise_section(tmp_path):
+    path = tmp_path / "clean.ini"
+    path.write_text(CONFIG.replace("[noise]\nsnr_db = 6.0\nseed = 11\n", ""))
+    out = tmp_path / "results"
+    assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    with open(out / "metrics.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert list(row) == ["name", "ssim", "psnr_db", "snr_db", "iterations", "stop_reason"]
+    assert row["name"] == "clean"
+    assert math.isinf(float(row["snr_db"]))
+    assert row["iterations"] == "3"
+
+
+def test_register_and_suite_take_their_own_flags():
+    args = build_parser().parse_args(
+        ["register", "--config", "run.ini", "--out", "d", "--seed", "5", "--log-csv", "log.csv"]
+    )
+    assert (args.out, args.seed, args.log_csv) == ("d", 5, "log.csv")
+    args = build_parser().parse_args(["--threads", "2", "suite", "--id", "1", "--out", "d"])
+    assert (args.threads, args.id, args.out) == (2, 1, "d")
 
 
 def test_register_bad_config_exit_code(tmp_path):

@@ -16,7 +16,6 @@ from tomoflow.flow import (
     build_flow_chain,
     jacobian_recursion_to_one,
     jacobian_recursion_to_zero,
-    step_forward_map,
 )
 
 
@@ -27,24 +26,6 @@ def constant_field(grid, cx, cy):
 def rotation_field(grid, omega):
     X, Y = grid.meshgrid()
     return VectorField2D(grid, -omega * Y, omega * X)
-
-
-def test_step_forward_map_zero(grid16):
-    disp = step_forward_map(VectorField2D.zeros(grid16), 4)
-    np.testing.assert_array_equal(disp.dx, 0.0)
-    np.testing.assert_array_equal(disp.dy, 0.0)
-
-
-def test_step_forward_map_constant_single_step(grid16):
-    disp = step_forward_map(constant_field(grid16, 1.5, -2.0), 1)
-    np.testing.assert_allclose(disp.dx, 1.5)
-    np.testing.assert_allclose(disp.dy, -2.0)
-
-
-def test_step_forward_map_linear_field(grid16):
-    X, _ = grid16.meshgrid()
-    disp = step_forward_map(VectorField2D(grid16, X.copy(), np.zeros(grid16.shape)), 10)
-    np.testing.assert_allclose(disp.dx, X / 10.0, atol=1e-14)
 
 
 def test_advance_zero_velocity_keeps_image(grid32):

@@ -7,7 +7,6 @@ from tomoflow import (
     GroupAction,
     RegistrationConfig,
     StopReason,
-    TimeVelocityField,
     add_noise,
     make_parallel_geometry,
     ray_transform,
@@ -112,13 +111,6 @@ def test_mass_preserving_action_runs(problem32):
     )
     h = res.objective_history
     assert h[-1].total < h[0].total
-
-
-def test_initial_velocity_must_match(problem32):
-    grid, geom, template, _, data = problem32
-    bad = TimeVelocityField.zeros(grid, 9)
-    with pytest.raises(ValueError):
-        register(template, data, geom, small_cfg(n_steps=5), initial_velocity=bad)
 
 
 @pytest.mark.parametrize(

@@ -44,8 +44,12 @@ def test_phantom_determinism(kind):
     np.testing.assert_array_equal(a.values, b.values)
 
 
-def test_missing_variant_confined_to_one_ellipse_bbox():
-    g = grid_of(256)
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_missing_variant_confined_to_one_ellipse_bbox(n):
+    # the rasterizer averages 4x4 subsamples over each pixel's footprint,
+    # so a pixel changes only if its footprint meets the removed ellipse: the
+    # contract is the ellipse's box dilated by exactly half a pixel
+    g = grid_of(n)
     full = make_phantom(PhantomSpec(PhantomKind.SHEPP_LOGAN, g))
     missing = make_phantom(PhantomSpec(PhantomKind.SHEPP_LOGAN_MISSING, g))
     diff = full.values != missing.values
@@ -54,9 +58,9 @@ def test_missing_variant_confined_to_one_ellipse_bbox():
     X, Y = g.meshgrid()
     scale = 0.5 * (g.x_max - g.x_min)
     U, V = X / scale, Y / scale
-    r = max(a, b)
-    inside_bbox = (np.abs(U - x0) <= r + 1e-9) & (np.abs(V - y0) <= r + 1e-9)
-    assert not (diff & ~inside_bbox).any()
+    r = max(a, b) + 0.5 * g.hx / scale
+    inside_footprint_box = (np.abs(U - x0) <= r + 1e-9) & (np.abs(V - y0) <= r + 1e-9)
+    assert not (diff & ~inside_footprint_box).any()
 
 
 def test_extra_variant_adds_bright_component_at_half_threshold():

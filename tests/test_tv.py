@@ -11,7 +11,15 @@ from tomoflow import (
     ray_transform,
     tv_reconstruct,
 )
-from tomoflow.tv import _forward_grad, _grad_transpose, tv_objective
+from tomoflow.tv import _forward_grad, _grad_transpose
+
+
+def tv_objective(f, data, mu):
+    """Primal objective mu*TV(f) + |Tf - g|^2_Y."""
+    gx, gy = _forward_grad(f.values, f.grid.hx, f.grid.hy)
+    tv = float(np.sum(np.sqrt(gx * gx + gy * gy)) * f.grid.cell_area)
+    resid = ray_transform(f, data.geometry).values - data.values
+    return mu * tv + float(data.geometry.y_weight() * np.sum(resid * resid))
 
 
 def test_gradient_adjoint_is_exact():
@@ -58,21 +66,11 @@ def test_zero_sinogram_gives_zero_image():
     np.testing.assert_array_equal(out.values, 0.0)
 
 
-def test_step_size_invariant_enforced():
-    grid = Grid2D(24, 24)
-    geom = make_parallel_geometry(grid, 5, 36)
-    cfg = TVConfig(mu=1.0, n_iters=10, tau=100.0, sigma_pd=100.0)
-    with pytest.raises(ValueError):
-        tv_reconstruct(Sinogram.zeros(geom), grid, cfg)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         TVConfig(mu=0.0)
     with pytest.raises(ValueError):
         TVConfig(mu=1.0, n_iters=0)
-    with pytest.raises(ValueError):
-        TVConfig(mu=1.0, theta=2.0)
 
 
 def disk_problem(n=64, r=8.0, n_angles=60):
