@@ -7,7 +7,7 @@ Suite 3: (sigma, gamma) sensitivity sweep on the head phantom, scored by
 Suite 4: topology mismatch, template missing / having an extra object.
 
 Each case, and each ``tomoflow register`` config, runs through
-``run_case``, which writes the deformed-template trajectory (IGRD plus
+``run_case``, which writes the transported-template trajectory (IGRD plus
 PGM previews), a per-iteration objective CSV, a metrics CSV, the
 baselines and a JSON manifest into its output directory.
 """

@@ -13,6 +13,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,8 +62,16 @@ class Grid2D:
         return self.y_min + (np.arange(self.ny) + 0.5) * self.hy
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pixel-center coordinates as two (ny, nx) arrays (X, Y)."""
+        """Pixel-center coordinates as two fresh (ny, nx) arrays (X, Y)."""
         return np.meshgrid(self.x_centers(), self.y_centers())
+
+    @cached_property
+    def _centers(self) -> tuple[np.ndarray, np.ndarray]:
+        # read-only, so a caller can never change what later pulls see
+        X, Y = self.meshgrid()
+        X.flags.writeable = False
+        Y.flags.writeable = False
+        return X, Y
 
 
 def _as_field(grid: Grid2D, values) -> np.ndarray:
@@ -161,33 +170,57 @@ class TimeVelocityField:
         return TimeVelocityField([f.copy() for f in self.fields])
 
 
+def _fractional_index(q, lo: float, h: float, n: int, shape) -> np.ndarray:
+    """(q - lo) / h - 0.5 clamped to [-2, n]; NaN maps to -2."""
+    f = np.subtract(q, lo, out=np.empty(shape))
+    f /= h
+    f -= 0.5
+    np.fmax(f, -2.0, out=f)
+    np.fmin(f, n, out=f)
+    return f
+
+
 def interp_values(grid: Grid2D, values: np.ndarray, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of pixel-center samples at physical points.
 
-    Points outside the extent see zeros: any of the four neighbouring
-    pixel centers that falls off the grid contributes 0.
+    Points outside the extent see zeros: the four corners are gathered
+    from a copy of ``values`` zero-padded by two pixels on each side,
+    after the fractional pixel index is clamped to [-2, n]. A clamped
+    point (anything a pixel or more outside the extent, and every NaN or
+    infinite coordinate) has all four corners on the padding, so it
+    samples 0 whatever the image holds.
     """
-    fx = (xq - grid.x_min) / grid.hx - 0.5
-    fy = (yq - grid.y_min) / grid.hy - 0.5
-    ix = np.floor(fx).astype(np.intp)
-    iy = np.floor(fy).astype(np.intp)
-    tx = fx - ix
-    ty = fy - iy
-
     nx, ny = grid.nx, grid.ny
-    flat = values.ravel()
-    out = np.zeros(np.broadcast(xq, yq).shape, dtype=np.float64)
-    for dy_ in (0, 1):
-        wy = ty if dy_ else 1.0 - ty
-        jy = iy + dy_
-        my = (jy >= 0) & (jy < ny)
-        for dx_ in (0, 1):
-            wx = tx if dx_ else 1.0 - tx
-            jx = ix + dx_
-            m = my & (jx >= 0) & (jx < nx)
-            w = wx * wy
-            idx = np.where(m, jy * nx + jx, 0)
-            out += np.where(m, w * flat[idx], 0.0)
+    shape = np.broadcast_shapes(np.shape(xq), np.shape(yq))
+    fx = _fractional_index(xq, grid.x_min, grid.hx, nx, shape)
+    fy = _fractional_index(yq, grid.y_min, grid.hy, ny, shape)
+    x0 = np.floor(fx)
+    y0 = np.floor(fy)
+    tx = fx - x0
+    ty = fy - y0
+    sx = np.subtract(1.0, tx, out=fx)
+    sy = np.subtract(1.0, ty, out=fy)
+
+    w = nx + 4
+    padded = np.zeros((ny + 4, w))
+    padded[2:ny + 2, 2:nx + 2] = values
+    flat = padded.ravel()
+    # flat index of corner (0, 0) in the padded copy; y0, x0 >= -2
+    y0 *= w
+    y0 += x0
+    idx = y0.astype(np.intp)
+    idx += 2 * w + 2
+
+    # corners (0,0), (0,1), (1,0), (1,1) as (dy, dx), each term (wx*wy)*f:
+    # the masked per-corner form's products and summation order, so the
+    # result is bit-identical to it
+    out = sx * sy
+    out *= flat.take(idx)
+    for wx, wy, step in ((tx, sy, 1), (sx, ty, w - 1), (tx, ty, 1)):
+        idx += step
+        term = np.multiply(wx, wy, out=x0)
+        term *= flat.take(idx)
+        out += term
     return out
 
 
@@ -195,7 +228,7 @@ def sample_bilinear(img: ScalarImage, points: DisplacementMap) -> ScalarImage:
     """Sample ``img`` at x + (dx, dy)(x) for every pixel center x."""
     if img.grid != points.grid:
         raise GridMismatchError("image and displacement map live on different grids")
-    X, Y = img.grid.meshgrid()
+    X, Y = img.grid._centers
     vals = interp_values(img.grid, img.values, X + points.dx, Y + points.dy)
     return ScalarImage(img.grid, vals)
 

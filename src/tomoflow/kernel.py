@@ -5,6 +5,13 @@ The kernel is diagonal: it acts on each component independently. The
 by discrete convolution with the sampled, truncated kernel times the
 pixel area, computed as a linear (zero-padded) FFT convolution so image
 borders see zeros rather than wrap-around.
+
+The zero-padded 2-D transform is taken in its separable stages, which
+skip the work on padding: the row transforms run on the ``ny`` data rows
+only, and after the column transforms only the ``ny`` output rows that
+are kept are transformed back. The 1/(H*W) scale is applied once at the
+end, where the 2-D inverse transform applies it, so the result is
+bit-identical to ``irfft2(rfft2(u, s) * freq_kernel, s)``.
 """
 
 from __future__ import annotations
@@ -70,10 +77,18 @@ def kernel_value(spec: KernelSpec, x, y) -> np.ndarray | float:
 
 
 def _convolve(spec: KernelSpec, comp: np.ndarray) -> np.ndarray:
-    fld = scipy.fft.rfft2(comp, s=spec.fft_shape)
-    full = scipy.fft.irfft2(fld * spec.freq_kernel, s=spec.fft_shape)
-    return full[spec.support_y:spec.support_y + spec.grid.ny,
-                spec.support_x:spec.support_x + spec.grid.nx]
+    H, W = spec.fft_shape
+    ny, nx = spec.grid.shape
+    ry, rx = spec.support_y, spec.support_x
+    fld = scipy.fft.rfft(comp, n=W, axis=1)
+    fld = scipy.fft.fft(fld, n=H, axis=0, overwrite_x=True)
+    fld *= spec.freq_kernel
+    fld = scipy.fft.ifft(fld, axis=0, norm="forward", overwrite_x=True)[ry:ry + ny]
+    out = scipy.fft.irfft(fld, n=W, axis=1, norm="forward")[:, rx:rx + nx]
+    # pocketfft rounds 1/(H*W) from long double; for every product of
+    # two next_fast_len lengths up to 8192 that equals this double reciprocal
+    out *= 1.0 / (H * W)
+    return out
 
 
 def smooth(spec: KernelSpec, vf: VectorField2D) -> VectorField2D:

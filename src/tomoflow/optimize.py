@@ -63,6 +63,16 @@ class RegistrationConfig:
 
 @dataclass
 class RegistrationResult:
+    """Outcome of ``register``.
+
+    ``trajectory[i]`` is the transported template J_i of the last
+    finite iterate at time t_i = i/N (see ``flow``). For the geometric
+    action ``trajectory[-1]`` is the deformed template. For the
+    mass-preserving action it is not: it lacks the Jacobian factor that
+    ``action.deform`` multiplies in, so it is not the image whose
+    projection the data term compares with the data.
+    """
+
     final_velocity: TimeVelocityField
     trajectory: list[ScalarImage]
     objective_history: list[ObjectiveValue] = field(default_factory=list)
@@ -95,7 +105,7 @@ def register(
     nu = TimeVelocityField.zeros(grid, cfg.n_steps)
 
     history: list[ObjectiveValue] = []
-    last_nu = nu.copy()
+    last_nu = nu
     last_traj = [template] + [template.copy() for _ in range(cfg.n_steps)]
     iterations = 0
 
@@ -110,7 +120,7 @@ def register(
             return RegistrationResult(last_nu, last_traj, history, iterations, StopReason.NUMERICAL_FAILURE)
 
         history.append(value)
-        last_nu = nu.copy()
+        last_nu = nu
         last_traj = chain.transported_template
 
         attach_backprop_field(chain, grad_img, nu)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from tomoflow import (
     integrate,
     sample_bilinear,
 )
+from tomoflow.grid import interp_values
 
 
 def test_grid_geometry():
@@ -67,6 +70,122 @@ def test_zero_extension_far_outside(grid16):
     far = np.full(grid16.shape, 40.0)  # way past the extent
     out = sample_bilinear(img, DisplacementMap(grid16, far, far))
     np.testing.assert_array_equal(out.values, 0.0)
+
+
+def masked_interp_reference(grid, values, xq, yq):
+    """Masked bilinear gather: off-grid corners are masked out one by one.
+
+    Undefined (and warns) for non-finite coordinates.
+    """
+    fx = (xq - grid.x_min) / grid.hx - 0.5
+    fy = (yq - grid.y_min) / grid.hy - 0.5
+    ix = np.floor(fx).astype(np.intp)
+    iy = np.floor(fy).astype(np.intp)
+    tx = fx - ix
+    ty = fy - iy
+
+    nx, ny = grid.nx, grid.ny
+    flat = values.ravel()
+    out = np.zeros(np.broadcast(xq, yq).shape, dtype=np.float64)
+    for dy_ in (0, 1):
+        wy = ty if dy_ else 1.0 - ty
+        jy = iy + dy_
+        my = (jy >= 0) & (jy < ny)
+        for dx_ in (0, 1):
+            wx = tx if dx_ else 1.0 - tx
+            jx = ix + dx_
+            m = my & (jx >= 0) & (jx < nx)
+            w = wx * wy
+            idx = np.where(m, jy * nx + jx, 0)
+            out += np.where(m, w * flat[idx], 0.0)
+    return out
+
+
+# hx = 0.5, hy = 0.25 and dyadic extents: fractional indices are exact
+NON_SQUARE = Grid2D(40, 24, -10.0, 10.0, -3.0, 3.0)
+
+
+def _at_fractional_index(grid, fx, fy):
+    return grid.x_min + (fx + 0.5) * grid.hx, grid.y_min + (fy + 0.5) * grid.hy
+
+
+def _query_points(grid, case, rng):
+    nx, ny = grid.nx, grid.ny
+    shape = (64, 48)
+    if case == "in_range":
+        fx, fy = rng.uniform(0, nx - 1, shape), rng.uniform(0, ny - 1, shape)
+    elif case == "edges":
+        # straddle each edge: one coordinate within a pixel and a half of it
+        fx, fy = rng.uniform(0, nx - 1, shape), rng.uniform(0, ny - 1, shape)
+        q = shape[0] // 4
+        fx[:q] = rng.uniform(-1.5, 0.5, (q, shape[1]))
+        fx[q:2 * q] = rng.uniform(nx - 1.5, nx + 0.5, (q, shape[1]))
+        fy[2 * q:3 * q] = rng.uniform(-1.5, 0.5, (q, shape[1]))
+        fy[3 * q:] = rng.uniform(ny - 1.5, ny + 0.5, (shape[0] - 3 * q, shape[1]))
+    elif case == "exact_indices":
+        fx, fy = np.meshgrid(
+            np.array([-1.5, -1.0, -0.5, 0.0, 0.5, nx - 1.0, nx - 0.5, nx, nx + 0.5]),
+            np.array([-1.5, -1.0, -0.5, 0.0, 0.5, ny - 1.0, ny - 0.5, ny, ny + 0.5]),
+        )
+    elif case == "far_outside":
+        fx = rng.uniform(-1e6, 1e6, shape)
+        fy = rng.uniform(-1e6, 1e6, shape)
+        fx[::2] = rng.uniform(0, nx - 1, (shape[0] // 2, shape[1]))
+    else:
+        raise ValueError(case)
+    return _at_fractional_index(grid, fx, fy)
+
+
+@pytest.mark.parametrize("border", ["finite", "non_finite"])
+@pytest.mark.parametrize("grid", [Grid2D(32, 32), NON_SQUARE], ids=["square", "non_square"])
+@pytest.mark.parametrize("case", ["in_range", "edges", "exact_indices", "far_outside"])
+def test_interp_matches_masked_reference(grid, case, border):
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal(grid.shape)
+    if border == "non_finite":
+        # off-grid points must not pick these up, not even with weight 0
+        values[0, :], values[-1, :] = np.nan, np.inf
+        values[:, 0], values[:, -1] = -np.inf, np.nan
+    xq, yq = _query_points(grid, case, rng)
+    with np.errstate(invalid="ignore"):  # 0 * inf next to a non-finite border
+        out = interp_values(grid, values, xq, yq)
+        ref = masked_interp_reference(grid, values, xq, yq)
+    np.testing.assert_array_equal(out, ref)  # NaN == NaN here
+    if case == "exact_indices":
+        fx = (xq - grid.x_min) / grid.hx - 0.5
+        assert set(np.unique(fx)) >= {-1.0, 0.0, grid.nx - 1.0, float(grid.nx)}
+
+
+@pytest.mark.parametrize("grid", [Grid2D(32, 32), NON_SQUARE], ids=["square", "non_square"])
+def test_interp_non_finite_coordinates_sample_zero(grid):
+    values = np.random.default_rng(22).standard_normal(grid.shape)
+    bad = np.array([np.nan, np.inf, -np.inf])
+    xq, yq = np.meshgrid(np.concatenate([bad, [0.0]]), np.concatenate([bad, [0.0]]))
+    finite = np.isfinite(xq) & np.isfinite(yq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = interp_values(grid, values, xq, yq)
+    np.testing.assert_array_equal(out[~finite], 0.0)
+    np.testing.assert_array_equal(
+        out[finite], masked_interp_reference(grid, values, xq[finite], yq[finite])
+    )
+
+
+def test_cached_centers_ignore_meshgrid_mutation(grid16):
+    img = ScalarImage(grid16, np.random.default_rng(23).standard_normal(grid16.shape))
+    identity = DisplacementMap.identity(grid16)
+    X, Y = grid16.meshgrid()  # before the first pull fills the cache
+    X0 = X.copy()
+    X += 3.0
+    np.testing.assert_array_equal(sample_bilinear(img, identity).values, img.values)
+    X2, Y2 = grid16.meshgrid()  # after
+    assert not np.shares_memory(X, X2)
+    X2 += 3.0
+    Y2[:] = 0.0
+    np.testing.assert_array_equal(sample_bilinear(img, identity).values, img.values)
+    X3, Y3 = grid16.meshgrid()
+    np.testing.assert_array_equal(X3, X0)
+    assert X3.flags.writeable and Y3.flags.writeable
 
 
 def test_sample_grid_mismatch(grid16, grid32):

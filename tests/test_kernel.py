@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from tomoflow import Grid2D, GridMismatchError, VectorField2D, kernel_value, make_kernel, smooth
 
@@ -101,6 +102,35 @@ def test_smooth_positive_semidefinite(grid16):
         quad = area * np.sum(su.vx * u.vx + su.vy * u.vy)
         norm_sq = area * np.sum(u.vx**2 + u.vy**2)
         assert quad >= -1e-12 * norm_sq
+
+
+def rfft2_reference(spec, comp):
+    """The zero-padded convolution as one 2-D real transform pair."""
+    fld = scipy.fft.rfft2(comp, s=spec.fft_shape)
+    full = scipy.fft.irfft2(fld * spec.freq_kernel, s=spec.fft_shape)
+    return full[spec.support_y:spec.support_y + spec.grid.ny,
+                spec.support_x:spec.support_x + spec.grid.nx]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "grid,sigma,support",
+    [
+        (Grid2D(64, 64), 6.0, (48, 48)),  # the star64 kernel: support wider than the image half
+        (Grid2D(128, 128), 2.0, (32, 32)),
+        (Grid2D(40, 27, -10.0, 10.0, -5.0, 8.0), 1.5, (12, 13)),  # hx = 0.5, hy = 13/27
+    ],
+    ids=["64_sigma6", "128_sigma2", "non_square"],
+)
+def test_smooth_matches_rfft2_reference(grid, sigma, support, workers):
+    spec = make_kernel(grid, sigma)
+    assert (spec.support_x, spec.support_y) == support
+    rng = np.random.default_rng(12)
+    vf = VectorField2D(grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
+    with scipy.fft.set_workers(workers):
+        out = smooth(spec, vf)
+        np.testing.assert_array_equal(out.vx, rfft2_reference(spec, vf.vx))
+        np.testing.assert_array_equal(out.vy, rfft2_reference(spec, vf.vy))
 
 
 def test_smooth_grid_mismatch(grid16, grid32):
