@@ -9,18 +9,14 @@ with filtered back projection and total-variation baselines.
 
 from .action import GroupAction, deform
 from .grid import (
-    DisplacementMap,
     Grid2D,
     GridMismatchError,
     ScalarImage,
-    TimeVelocityField,
-    VectorField2D,
     divergence,
     gradient,
-    integrate,
     sample_bilinear,
 )
-from .kernel import KernelSpec, kernel_value, make_kernel, smooth
+from .kernel import KernelSpec, make_kernel, smooth
 from .objective import ObjectiveValue, velocity_norm_sq
 from .optimize import RegistrationConfig, RegistrationResult, StopReason, register
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
@@ -38,7 +34,6 @@ from .tv import TVConfig, operator_norm_estimate, tv_reconstruct
 __version__ = "0.1.0"
 
 __all__ = [
-    "DisplacementMap",
     "Grid2D",
     "GridMismatchError",
     "GroupAction",
@@ -54,16 +49,12 @@ __all__ = [
     "SinogramGeometry",
     "StopReason",
     "TVConfig",
-    "TimeVelocityField",
-    "VectorField2D",
     "add_noise",
     "back_projection",
     "deform",
     "divergence",
     "fbp",
     "gradient",
-    "integrate",
-    "kernel_value",
     "make_kernel",
     "make_parallel_geometry",
     "make_phantom",

@@ -30,14 +30,9 @@ class GroupAction(enum.Enum):
         raise ValueError(f"unknown group action {name!r}; use 'geometric' or 'mass-preserving'")
 
 
-def deform(action: GroupAction, chain: "FlowChain") -> ScalarImage:
-    """Final deformed template of a fully advanced flow chain."""
-    n = chain.n_steps
-    if len(chain.transported_template) != n + 1:
-        raise ValueError("flow chain is not fully advanced")
-    final = chain.transported_template[n]
-    if action is GroupAction.GEOMETRIC:
-        return final
-    if chain.jacobian_to_zero is None:
-        raise ValueError("mass-preserving deform needs a chain built with jacobian_to_zero")
-    return ScalarImage(final.grid, chain.jacobian_to_zero[n].values * final.values)
+def deform(chain: "FlowChain") -> ScalarImage:
+    """Final deformed template of a flow chain, under the chain's action."""
+    final = chain.transported_template[-1]
+    if chain.action is GroupAction.MASS_PRESERVING:
+        final = chain.jacobian[-1] * final
+    return ScalarImage(chain.grid, final)

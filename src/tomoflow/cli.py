@@ -185,7 +185,8 @@ def cmd_register(args) -> int:
         case = dataclasses.replace(case, noise_seed=args.seed)
     res = run_case(case, Path(args.out or config_out), log_csv=args.log_csv)
     if res.registration.stop_reason is StopReason.NUMERICAL_FAILURE:
-        print("register: stopped on numerical failure; last finite iterate written", file=sys.stderr)
+        print(f"register: stopped on numerical failure ({res.registration.stop_detail}); "
+              "last finite iterate written", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -199,6 +200,8 @@ def cmd_suite(args) -> int:
     for res in results:
         print(f"{res.case.name}: ssim={res.ssim_final:.4f} psnr={res.psnr_final:.2f} "
               f"stop={res.registration.stop_reason.value}")
+        if res.registration.stop_detail:
+            print(f"{res.case.name}: {res.registration.stop_detail}", file=sys.stderr)
     if any(r.registration.stop_reason is StopReason.NUMERICAL_FAILURE for r in results):
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -1,33 +1,32 @@
 """Discrete integration of the velocity-field flow.
 
-Per-step deformations are the small-displacement approximations
-Id +- (1/N) v(t_i, .). Three scalar chains are maintained instead of
-dense deformation maps:
+A velocity is one ``(N+1, 2, ny, nx)`` array ``nu``; ``nu[i]`` is the
+field at time t_i = i/N (component 0 along x). Per-step deformations are
+the small-displacement approximations Id +- (1/N) nu[i]. Three scalar
+chains are kept instead of dense deformation maps, each one
+``(N+1, ny, nx)`` array filled slice by slice:
 
 * transported template  J_i = J_{i-1} o (Id - v_i/N),        i = 1..N
-* Jacobian to time 1    A_i = (1 + div v_i/N) A_{i+1} o (Id + v_i/N),
-  i = N-1..0 with A_N = 1 (geometric action), or
-  Jacobian to time 0    A_i = (1 - div v_i/N) A_{i-1} o (Id - v_i/N),
-  i = 1..N with A_0 = 1 (mass-preserving action)
+* Jacobian              A_i = (1 + div v_i/N) A_{i+1} o (Id + v_i/N),
+  i = N-1..0 with A_N = 1 (to time 1, geometric action), or
+                        A_i = (1 - div v_i/N) A_{i-1} o (Id - v_i/N),
+  i = 1..N with A_0 = 1 (to time 0, mass-preserving action)
 * back-propagated field B_i = B_{i+1} o (Id + v_i/N),        i = N-1..0
+
+``build_flow_chain`` allocates all three arrays afresh for each
+evaluation and fills the first two; ``attach_backprop_field`` fills the
+third. Nothing is shared between evaluations, so an earlier chain stays
+valid after a later one fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .action import GroupAction
-from .grid import (
-    DisplacementMap,
-    GridMismatchError,
-    ScalarImage,
-    TimeVelocityField,
-    VectorField2D,
-    divergence,
-    sample_bilinear,
-)
+from .grid import Grid2D, GridMismatchError, ScalarImage, divergence, sample_bilinear
 
 
 class FlowStabilityError(RuntimeError):
@@ -35,55 +34,53 @@ class FlowStabilityError(RuntimeError):
     (1/N) * velocity magnitude is too coarse for the current field."""
 
 
-def _pull(img: ScalarImage, v: VectorField2D, scale: float) -> ScalarImage:
-    if img.grid != v.grid:
-        raise GridMismatchError("image and velocity sample on different grids")
-    disp = DisplacementMap(v.grid, scale * v.vx, scale * v.vy)
-    return sample_bilinear(img, disp)
-
-
-def advance_transported_template(prev: ScalarImage, v_i: VectorField2D, n_steps: int) -> ScalarImage:
+def advance_transported_template(
+    grid: Grid2D, prev: np.ndarray, v_i: np.ndarray, n_steps: int
+) -> np.ndarray:
     """Semi-Lagrangian pull-back: sample prev at x - v_i(x)/N."""
-    return _pull(prev, v_i, -1.0 / n_steps)
+    return sample_bilinear(grid, prev, (-1.0 / n_steps) * v_i)
 
 
-def backpropagate_field(nxt: ScalarImage, v_i: VectorField2D, n_steps: int) -> ScalarImage:
+def backpropagate_field(grid: Grid2D, nxt: np.ndarray, v_i: np.ndarray, n_steps: int) -> np.ndarray:
     """Sample the next back-propagated field at x + v_i(x)/N."""
-    return _pull(nxt, v_i, 1.0 / n_steps)
+    return sample_bilinear(grid, nxt, (1.0 / n_steps) * v_i)
 
 
-def jacobian_recursion_to_one(next_jac: ScalarImage, v_i: VectorField2D, n_steps: int) -> ScalarImage:
-    """One backward step of the Jacobian-to-time-1 recursion."""
-    moved = _pull(next_jac, v_i, 1.0 / n_steps)
-    factor = 1.0 + divergence(v_i).values / n_steps
-    return ScalarImage(next_jac.grid, factor * moved.values)
+def jacobian_step(grid: Grid2D, jac: np.ndarray, v_i: np.ndarray, n_steps: int, sign: float) -> np.ndarray:
+    """One step of the Jacobian recursion: (1 + sign div v_i/N) * jac o (Id + sign v_i/N).
 
-
-def jacobian_recursion_to_zero(prev_jac: ScalarImage, v_i: VectorField2D, n_steps: int) -> ScalarImage:
-    """One forward step of the Jacobian-to-time-0 recursion."""
-    moved = _pull(prev_jac, v_i, -1.0 / n_steps)
-    factor = 1.0 - divergence(v_i).values / n_steps
-    return ScalarImage(prev_jac.grid, factor * moved.values)
+    sign = +1 steps the Jacobian to time 1 backwards, -1 the Jacobian to
+    time 0 forwards.
+    """
+    moved = sample_bilinear(grid, jac, (sign / n_steps) * v_i)
+    moved *= _step_factor(grid, v_i, n_steps, sign)
+    return moved
 
 
 @dataclass
 class FlowChain:
     """The three scalar chains of one flow evaluation.
 
-    Entry i of each list refers to time t_i = i/N. ``jacobian_to_one`` is
-    filled for the geometric action, ``jacobian_to_zero`` for the
-    mass-preserving one. ``backprop_field`` is attached separately once
-    the data-discrepancy gradient image is known.
+    Each is an (N+1, ny, nx) array whose slice i refers to time t_i = i/N.
+    ``jacobian`` runs to time 1 for the geometric action and to time 0
+    for the mass-preserving one; ``action`` records which.
+    ``backprop_field`` is allocated with the chain and filled by
+    ``attach_backprop_field`` once the data-discrepancy gradient image is
+    known.
     """
 
-    n_steps: int
-    transported_template: list[ScalarImage] = field(default_factory=list)
-    jacobian_to_one: list[ScalarImage] | None = None
-    jacobian_to_zero: list[ScalarImage] | None = None
-    backprop_field: list[ScalarImage] | None = None
+    grid: Grid2D
+    action: GroupAction
+    transported_template: np.ndarray
+    jacobian: np.ndarray
+    backprop_field: np.ndarray
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.transported_template) - 1
 
 
-def build_flow_chain(template: ScalarImage, nu: TimeVelocityField, action: GroupAction) -> FlowChain:
+def build_flow_chain(template: ScalarImage, nu: np.ndarray, action: GroupAction) -> FlowChain:
     """Run the transported-template and Jacobian recursions for the field nu.
 
     Raises FlowStabilityError when a per-step determinant factor
@@ -93,49 +90,54 @@ def build_flow_chain(template: ScalarImage, nu: TimeVelocityField, action: Group
     image near the boundary; that is the zero-extension convention, not
     an instability.
     """
-    if template.grid != nu.grid:
-        raise GridMismatchError("template and velocity field live on different grids")
-    n = nu.n_steps
+    grid = template.grid
+    n = len(nu) - 1
+    if n < 1:
+        raise ValueError("need at least 2 time samples (n_steps >= 1)")
+    if nu.shape != (n + 1, 2) + grid.shape:
+        raise GridMismatchError(f"velocity shape {nu.shape} does not match template grid {grid.shape}")
+    shape = (n + 1,) + grid.shape
 
-    transported = [template]
+    transported = np.empty(shape)
+    transported[0] = template.values
     for i in range(1, n + 1):
-        transported.append(advance_transported_template(transported[-1], nu.fields[i], n))
+        transported[i] = advance_transported_template(grid, transported[i - 1], nu[i], n)
 
-    chain = FlowChain(n_steps=n, transported_template=transported)
-    ones = ScalarImage.full(template.grid, 1.0)
     if action is GroupAction.GEOMETRIC:
-        jac = [None] * (n + 1)
-        jac[n] = ones
-        for i in range(n - 1, -1, -1):
-            _check_step_factor(nu.fields[i], n, +1.0, i)
-            jac[i] = jacobian_recursion_to_one(jac[i + 1], nu.fields[i], n)
-            _check_finite(jac[i], i)
-        chain.jacobian_to_one = jac
+        sign, prev, steps = 1.0, n, range(n - 1, -1, -1)
     else:
-        jac = [None] * (n + 1)
-        jac[0] = ones
-        for i in range(1, n + 1):
-            _check_step_factor(nu.fields[i], n, -1.0, i)
-            jac[i] = jacobian_recursion_to_zero(jac[i - 1], nu.fields[i], n)
-            _check_finite(jac[i], i)
-        chain.jacobian_to_zero = jac
-    return chain
+        sign, prev, steps = -1.0, 0, range(1, n + 1)
+    jac = np.empty(shape)
+    jac[prev] = 1.0
+    for i in steps:
+        _check_step_factor(grid, nu[i], n, sign, i)
+        jac[i] = jacobian_step(grid, jac[prev], nu[i], n, sign)
+        _check_finite(jac[i], i)
+        prev = i
+    return FlowChain(grid, action, transported, jac, np.empty(shape))
 
 
-def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage, nu: TimeVelocityField) -> None:
+def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage, nu: np.ndarray) -> None:
     """Fill chain.backprop_field with grad_image composed to each time."""
-    n = nu.n_steps
-    if chain.n_steps != n:
+    n = chain.n_steps
+    if len(nu) != n + 1:
         raise ValueError("chain and velocity field disagree on n_steps")
-    back = [None] * (n + 1)
-    back[n] = grad_image
+    back = chain.backprop_field
+    back[n] = grad_image.values
     for i in range(n - 1, -1, -1):
-        back[i] = backpropagate_field(back[i + 1], nu.fields[i], n)
-    chain.backprop_field = back
+        back[i] = backpropagate_field(chain.grid, back[i + 1], nu[i], n)
 
 
-def _check_step_factor(v: VectorField2D, n_steps: int, sign: float, i: int) -> None:
-    factor = 1.0 + sign * divergence(v).values / n_steps
+def _step_factor(grid: Grid2D, v: np.ndarray, n_steps: int, sign: float) -> np.ndarray:
+    """1 + sign div(v)/N, built in place; x / (-N) is exactly -(x / N)."""
+    factor = divergence(grid, v)
+    factor /= sign * n_steps
+    factor += 1.0
+    return factor
+
+
+def _check_step_factor(grid: Grid2D, v: np.ndarray, n_steps: int, sign: float, i: int) -> None:
+    factor = _step_factor(grid, v, n_steps, sign)
     lo = float(factor.min())
     if not np.isfinite(lo) or lo <= 0.0:
         raise FlowStabilityError(
@@ -144,6 +146,6 @@ def _check_step_factor(v: VectorField2D, n_steps: int, sign: float, i: int) -> N
         )
 
 
-def _check_finite(jac: ScalarImage, i: int) -> None:
-    if not np.isfinite(jac.values).all():
+def _check_finite(jac: np.ndarray, i: int) -> None:
+    if not np.isfinite(jac).all():
         raise FlowStabilityError(f"Jacobian determinant became non-finite at time index {i}")

@@ -1,25 +1,32 @@
-"""Rectangular pixel grids, scalar/vector fields and the discrete calculus on them.
+"""Rectangular pixel grids, scalar images and the discrete calculus on them.
 
 Conventions shared by the whole package:
 
 * pixel centers at ``x_i = x_min + (i + 0.5) * hx`` (same in y),
-* arrays are stored as ``(ny, nx)`` float64, row-major with y as the
-  outer index,
+* a scalar field is a ``(ny, nx)`` float64 array, row-major with y as
+  the outer index; ``ScalarImage`` pairs one with its grid at the API
+  boundary (phantoms, projections, files, metrics),
+* a vector field is a ``(2, ny, nx)`` float64 array, component 0 along
+  x and 1 along y, and a time-sampled velocity is ``(N+1, 2, ny, nx)``;
+  these are plain arrays, and the grid is passed alongside them,
 * sampling outside the grid extent evaluates to 0 (zero extension),
 * gradient/divergence use second-order central differences in the
   interior and first-order one-sided differences on the boundary.
+
+``sample_bilinear``, ``gradient`` and ``divergence`` each return a
+freshly allocated array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 
 class GridMismatchError(ValueError):
-    """Raised when two fields that must share a grid do not."""
+    """Raised when a field is not on the grid it is used with."""
 
 
 @dataclass(frozen=True)
@@ -74,13 +81,6 @@ class Grid2D:
         return X, Y
 
 
-def _as_field(grid: Grid2D, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != grid.shape:
-        raise ValueError(f"field shape {arr.shape} does not match grid {grid.shape}")
-    return arr
-
-
 @dataclass
 class ScalarImage:
     """A scalar function sampled at pixel centers."""
@@ -89,7 +89,9 @@ class ScalarImage:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_field(self.grid, self.values)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape != self.grid.shape:
+            raise ValueError(f"field shape {self.values.shape} does not match grid {self.grid.shape}")
 
     @classmethod
     def zeros(cls, grid: Grid2D) -> "ScalarImage":
@@ -98,76 +100,6 @@ class ScalarImage:
     @classmethod
     def full(cls, grid: Grid2D, value: float) -> "ScalarImage":
         return cls(grid, np.full(grid.shape, float(value)))
-
-    def copy(self) -> "ScalarImage":
-        return ScalarImage(self.grid, self.values.copy())
-
-
-@dataclass
-class VectorField2D:
-    """A 2D vector field sampled at pixel centers (components vx, vy)."""
-
-    grid: Grid2D
-    vx: np.ndarray
-    vy: np.ndarray
-
-    def __post_init__(self):
-        self.vx = _as_field(self.grid, self.vx)
-        self.vy = _as_field(self.grid, self.vy)
-
-    @classmethod
-    def zeros(cls, grid: Grid2D) -> "VectorField2D":
-        return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape))
-
-    def copy(self) -> "VectorField2D":
-        return VectorField2D(self.grid, self.vx.copy(), self.vy.copy())
-
-
-@dataclass
-class DisplacementMap:
-    """The map x -> x + (dx, dy)(x); dx = dy = 0 is the identity."""
-
-    grid: Grid2D
-    dx: np.ndarray
-    dy: np.ndarray
-
-    def __post_init__(self):
-        self.dx = _as_field(self.grid, self.dx)
-        self.dy = _as_field(self.grid, self.dy)
-
-    @classmethod
-    def identity(cls, grid: Grid2D) -> "DisplacementMap":
-        return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape))
-
-
-@dataclass
-class TimeVelocityField:
-    """N+1 time samples of a velocity field, sample i at time t_i = i/N."""
-
-    fields: list[VectorField2D] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.fields) < 2:
-            raise ValueError("need at least 2 time samples (n_steps >= 1)")
-        g = self.fields[0].grid
-        for f in self.fields[1:]:
-            if f.grid != g:
-                raise GridMismatchError("all time samples must share one grid")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.fields) - 1
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.fields[0].grid
-
-    @classmethod
-    def zeros(cls, grid: Grid2D, n_steps: int) -> "TimeVelocityField":
-        return cls([VectorField2D.zeros(grid) for _ in range(n_steps + 1)])
-
-    def copy(self) -> "TimeVelocityField":
-        return TimeVelocityField([f.copy() for f in self.fields])
 
 
 def _fractional_index(q, lo: float, h: float, n: int, shape) -> np.ndarray:
@@ -224,28 +156,27 @@ def interp_values(grid: Grid2D, values: np.ndarray, xq: np.ndarray, yq: np.ndarr
     return out
 
 
-def sample_bilinear(img: ScalarImage, points: DisplacementMap) -> ScalarImage:
-    """Sample ``img`` at x + (dx, dy)(x) for every pixel center x."""
-    if img.grid != points.grid:
-        raise GridMismatchError("image and displacement map live on different grids")
-    X, Y = img.grid._centers
-    vals = interp_values(img.grid, img.values, X + points.dx, Y + points.dy)
-    return ScalarImage(img.grid, vals)
+def sample_bilinear(grid: Grid2D, f: np.ndarray, disp: np.ndarray) -> np.ndarray:
+    """Sample the image ``f`` at x + disp(x) for every pixel center x.
+
+    ``disp`` is a (2, ny, nx) displacement, component 0 along x.
+    """
+    if f.shape != grid.shape or disp.shape != (2,) + grid.shape:
+        raise GridMismatchError(f"image {f.shape} or displacement {disp.shape} is not on grid {grid.shape}")
+    X, Y = grid._centers
+    return interp_values(grid, f, X + disp[0], Y + disp[1])
 
 
-def gradient(img: ScalarImage) -> VectorField2D:
-    """Finite-difference spatial gradient (central interior, one-sided edges)."""
-    ddy, ddx = np.gradient(img.values, img.grid.hy, img.grid.hx, edge_order=1)
-    return VectorField2D(img.grid, ddx, ddy)
+def gradient(grid: Grid2D, f: np.ndarray) -> np.ndarray:
+    """Finite-difference spatial gradient (central interior, one-sided edges),
+    as a (2, ny, nx) array with component 0 along x."""
+    ddy, ddx = np.gradient(f, grid.hy, grid.hx, edge_order=1)
+    return np.stack((ddx, ddy))
 
 
-def divergence(vf: VectorField2D) -> ScalarImage:
-    """div v = dvx/dx + dvy/dy with the same difference scheme as gradient."""
-    ddx = np.gradient(vf.vx, vf.grid.hx, axis=1, edge_order=1)
-    ddy = np.gradient(vf.vy, vf.grid.hy, axis=0, edge_order=1)
-    return ScalarImage(vf.grid, ddx + ddy)
-
-
-def integrate(img: ScalarImage) -> float:
-    """Midpoint-rule integral: sum of values times the pixel area."""
-    return float(np.sum(img.values) * img.grid.cell_area)
+def divergence(grid: Grid2D, v: np.ndarray) -> np.ndarray:
+    """div v = dv0/dx + dv1/dy of a (2, ny, nx) field, with the difference
+    scheme of ``gradient``."""
+    ddx = np.gradient(v[0], grid.hx, axis=1, edge_order=1)
+    ddy = np.gradient(v[1], grid.hy, axis=0, edge_order=1)
+    return ddx + ddy

@@ -21,6 +21,13 @@ ISIN_MAGIC = b"ISIN"
 FORMAT_VERSION = 1
 
 
+def _read_header(fh, path, kind: str, fmt: str) -> tuple:
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise ValueError(f"{path}: truncated {kind} header")
+    return struct.unpack(fmt, raw)
+
+
 def write_igrd(path, img: ScalarImage) -> None:
     g = img.grid
     header = IGRD_MAGIC + struct.pack(
@@ -36,9 +43,7 @@ def read_igrd(path) -> ScalarImage:
         magic = fh.read(4)
         if magic != IGRD_MAGIC:
             raise ValueError(f"{path}: not an IGRD file (magic {magic!r})")
-        version, nx, ny, x_min, x_max, y_min, y_max = struct.unpack(
-            "<BIIdddd", fh.read(struct.calcsize("<BIIdddd"))
-        )
+        version, nx, ny, x_min, x_max, y_min, y_max = _read_header(fh, path, "IGRD", "<BIIdddd")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported IGRD version {version}")
         data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8")
@@ -65,7 +70,7 @@ def read_isin(path, grid: Grid2D | None = None) -> Sinogram:
         magic = fh.read(4)
         if magic != ISIN_MAGIC:
             raise ValueError(f"{path}: not an ISIN file (magic {magic!r})")
-        version, m, p, s_min, s_max = struct.unpack("<BIIdd", fh.read(struct.calcsize("<BIIdd")))
+        version, m, p, s_min, s_max = _read_header(fh, path, "ISIN", "<BIIdd")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported ISIN version {version}")
         data = np.frombuffer(fh.read(8 * m * p), dtype="<f8")

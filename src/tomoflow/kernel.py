@@ -1,10 +1,12 @@
 """Gaussian reproducing-kernel smoothing of vector fields.
 
-The kernel is diagonal: it acts on each component independently. The
-``smooth`` operation realizes the integral  u(x) -> int k(x - y) u(y) dy
-by discrete convolution with the sampled, truncated kernel times the
-pixel area, computed as a linear (zero-padded) FFT convolution so image
-borders see zeros rather than wrap-around.
+The kernel is diagonal: it acts on each component of a (2, ny, nx)
+field independently. The ``smooth`` operation realizes the integral
+u(x) -> int k(x - y) u(y) dy by discrete convolution with the sampled,
+truncated kernel times the pixel area, computed as a linear
+(zero-padded) FFT convolution so image borders see zeros rather than
+wrap-around. Each component is transformed as its own contiguous 2-D
+slice and written straight into the output array.
 
 The zero-padded 2-D transform is taken in its separable stages, which
 skip the work on padding: the row transforms run on the ``ny`` data rows
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .grid import Grid2D, GridMismatchError, VectorField2D
+from .grid import Grid2D, GridMismatchError
 
 TRUNCATION_SIGMAS = 4.0
 
@@ -66,17 +68,7 @@ def make_kernel(grid: Grid2D, sigma: float) -> KernelSpec:
     )
 
 
-def kernel_value(spec: KernelSpec, x, y) -> np.ndarray | float:
-    """Scalar kernel factor k(x, y) = exp(-|x-y|^2 / (2 sigma^2)), truncated."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    d2 = np.sum((x - y) ** 2, axis=-1)
-    val = np.exp(-d2 / (2.0 * spec.sigma**2))
-    val = np.where(d2 > spec.truncation_radius**2, 0.0, val)
-    return float(val) if val.ndim == 0 else val
-
-
-def _convolve(spec: KernelSpec, comp: np.ndarray) -> np.ndarray:
+def _convolve(spec: KernelSpec, comp: np.ndarray, out: np.ndarray) -> None:
     H, W = spec.fft_shape
     ny, nx = spec.grid.shape
     ry, rx = spec.support_y, spec.support_x
@@ -84,15 +76,18 @@ def _convolve(spec: KernelSpec, comp: np.ndarray) -> np.ndarray:
     fld = scipy.fft.fft(fld, n=H, axis=0, overwrite_x=True)
     fld *= spec.freq_kernel
     fld = scipy.fft.ifft(fld, axis=0, norm="forward", overwrite_x=True)[ry:ry + ny]
-    out = scipy.fft.irfft(fld, n=W, axis=1, norm="forward")[:, rx:rx + nx]
+    full = scipy.fft.irfft(fld, n=W, axis=1, norm="forward")
     # pocketfft rounds 1/(H*W) from long double; for every product of
     # two next_fast_len lengths up to 8192 that equals this double reciprocal
-    out *= 1.0 / (H * W)
+    np.multiply(full[:, rx:rx + nx], 1.0 / (H * W), out=out)
+
+
+def smooth(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
+    """Componentwise kernel convolution of a (2, ny, nx) field with the
+    pixel-area quadrature weight, into a fresh array."""
+    if u.shape != (2,) + spec.grid.shape:
+        raise GridMismatchError(f"field shape {u.shape} does not match kernel grid {spec.grid.shape}")
+    out = np.empty(u.shape)
+    for comp, dest in zip(u, out):
+        _convolve(spec, comp, dest)
     return out
-
-
-def smooth(spec: KernelSpec, vf: VectorField2D) -> VectorField2D:
-    """Componentwise kernel convolution with the pixel-area quadrature weight."""
-    if vf.grid != spec.grid:
-        raise GridMismatchError("vector field grid does not match kernel grid")
-    return VectorField2D(vf.grid, _convolve(spec, vf.vx), _convolve(spec, vf.vy))

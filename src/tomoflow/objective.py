@@ -14,6 +14,12 @@ pointwise moment field with the reproducing kernel:
 where gradL(f) = 2 T*(T(f) - g). The moment field is zeroed on the
 one-pixel boundary ring where one-sided differences would otherwise
 inject spurious forces.
+
+The velocity ``nu`` and its gradient are ``(N+1, 2, ny, nx)`` arrays
+(see ``flow``). Each evaluation allocates the flow chain's three
+``(N+1, ny, nx)`` arrays, and each gradient one new array shaped like
+``nu``; the moment and its smoothing are ``(2, ny, nx)`` temporaries of
+one time sample.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .action import GroupAction, deform
 from .flow import FlowChain, build_flow_chain
-from .grid import ScalarImage, TimeVelocityField, VectorField2D, gradient
+from .grid import Grid2D, ScalarImage, gradient
 from .kernel import KernelSpec, smooth
 from .tomo import Sinogram, back_projection, ray_transform
 
@@ -55,55 +61,42 @@ def data_term(f: ScalarImage, g: Sinogram) -> tuple[float, ScalarImage]:
     return disc, ScalarImage(f.grid, 2.0 * bp.values)
 
 
-def velocity_norm_sq(nu: TimeVelocityField) -> float:
+def velocity_norm_sq(grid: Grid2D, nu: np.ndarray) -> float:
     """Squared discrete velocity norm: trapezoid in time, L2 in space."""
-    w = time_weights(nu.n_steps)
-    area = nu.grid.cell_area
+    w = time_weights(len(nu) - 1)
+    area = grid.cell_area
     total = 0.0
-    for wi, f in zip(w, nu.fields):
-        total += wi * area * float(np.sum(f.vx * f.vx + f.vy * f.vy))
+    for wi, v in zip(w, nu):
+        total += wi * area * float(np.sum(v[0] * v[0] + v[1] * v[1]))
     return total
 
 
 def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
-    arr[0, :] = 0.0
-    arr[-1, :] = 0.0
-    arr[:, 0] = 0.0
-    arr[:, -1] = 0.0
+    arr[..., 0, :] = 0.0
+    arr[..., -1, :] = 0.0
+    arr[..., :, 0] = 0.0
+    arr[..., :, -1] = 0.0
     return arr
 
 
-def objective_gradient(
-    nu: TimeVelocityField, chain: FlowChain, kernel: KernelSpec, gamma: float, action: GroupAction
-) -> TimeVelocityField:
-    """Velocity gradient of E; the action picks the moment field and its sign."""
-    if action is GroupAction.GEOMETRIC:
-        jac, scaled, differentiated, combine = (
-            chain.jacobian_to_one, chain.backprop_field, chain.transported_template, np.subtract
-        )
+def objective_gradient(nu: np.ndarray, chain: FlowChain, kernel: KernelSpec, gamma: float) -> np.ndarray:
+    """Velocity gradient of E, a fresh array shaped like nu; the chain's
+    action picks the moment field and its sign."""
+    if chain.action is GroupAction.GEOMETRIC:
+        scaled, differentiated, combine = chain.backprop_field, chain.transported_template, np.subtract
     else:
-        jac, scaled, differentiated, combine = (
-            chain.jacobian_to_zero, chain.transported_template, chain.backprop_field, np.add
-        )
-    if jac is None or chain.backprop_field is None:
-        raise ValueError("flow chain lacks the Jacobian or backprop field of this action")
-    out = []
-    for i, v in enumerate(nu.fields):
-        d = gradient(differentiated[i])
-        scale = jac[i].values * scaled[i].values
-        moment = VectorField2D(
-            d.grid, _zero_boundary_ring(scale * d.vx), _zero_boundary_ring(scale * d.vy)
-        )
-        s = smooth(kernel, moment)
-        out.append(
-            VectorField2D(v.grid, combine(2.0 * gamma * v.vx, s.vx), combine(2.0 * gamma * v.vy, s.vy))
-        )
-    return TimeVelocityField(out)
+        scaled, differentiated, combine = chain.transported_template, chain.backprop_field, np.add
+    grid = kernel.grid
+    out = np.empty(nu.shape)
+    for i, v in enumerate(nu):
+        moment = _zero_boundary_ring((chain.jacobian[i] * scaled[i]) * gradient(grid, differentiated[i]))
+        combine(2.0 * gamma * v, smooth(kernel, moment), out=out[i])
+    return out
 
 
 def evaluate_objective(
     template: ScalarImage,
-    nu: TimeVelocityField,
+    nu: np.ndarray,
     data: Sinogram,
     action: GroupAction,
     gamma: float,
@@ -111,11 +104,11 @@ def evaluate_objective(
     """Build the flow chain and evaluate E(nu).
 
     Returns (value, chain, deformed, grad_image) where grad_image is the
-    image-space discrepancy gradient 2 T*(T(deformed) - g); the chain has
-    no backprop field attached yet.
+    image-space discrepancy gradient 2 T*(T(deformed) - g); the chain's
+    backprop field is not filled yet.
     """
     chain = build_flow_chain(template, nu, action)
-    deformed = deform(action, chain)
+    deformed = deform(chain)
     disc, grad_image = data_term(deformed, data)
-    value = ObjectiveValue(penalty=gamma * velocity_norm_sq(nu), discrepancy=disc)
+    value = ObjectiveValue(penalty=gamma * velocity_norm_sq(template.grid, nu), discrepancy=disc)
     return value, chain, deformed, grad_image

@@ -11,7 +11,7 @@ import numpy as np
 
 from .action import GroupAction
 from .flow import FlowStabilityError, attach_backprop_field
-from .grid import ScalarImage, TimeVelocityField, VectorField2D
+from .grid import ScalarImage
 from .kernel import make_kernel
 from .objective import (
     ObjectiveValue,
@@ -70,14 +70,21 @@ class RegistrationResult:
     action ``trajectory[-1]`` is the deformed template. For the
     mass-preserving action it is not: it lacks the Jacobian factor that
     ``action.deform`` multiplies in, so it is not the image whose
-    projection the data term compares with the data.
+    projection the data term compares with the data. The images are
+    views into that iterate's transported-template array.
+
+    ``final_velocity`` is the last finite iterate as an
+    ``(N+1, 2, ny, nx)`` array. ``stop_detail`` is empty unless the stop
+    reason is ``NUMERICAL_FAILURE``; then it says at which iteration
+    what failed.
     """
 
-    final_velocity: TimeVelocityField
+    final_velocity: np.ndarray
     trajectory: list[ScalarImage]
     objective_history: list[ObjectiveValue] = field(default_factory=list)
     iterations_run: int = 0
     stop_reason: StopReason = StopReason.MAX_ITERS
+    stop_detail: str = ""
 
 
 ProgressFn = Callable[[int, ObjectiveValue, float], None]
@@ -102,46 +109,49 @@ def register(
         raise ValueError("sinogram geometry does not match the requested geometry")
     grid = template.grid
     kern = make_kernel(grid, cfg.sigma)
-    nu = TimeVelocityField.zeros(grid, cfg.n_steps)
+    nu = np.zeros((cfg.n_steps + 1, 2) + grid.shape)
 
     history: list[ObjectiveValue] = []
     last_nu = nu
-    last_traj = [template] + [template.copy() for _ in range(cfg.n_steps)]
+    # until an evaluation succeeds, the identity flow: every sample is the template
+    last_transported = np.broadcast_to(template.values, (cfg.n_steps + 1,) + grid.shape)
     iterations = 0
+
+    def stop(reason: StopReason, detail: str = "") -> RegistrationResult:
+        trajectory = [ScalarImage(grid, f) for f in last_transported]
+        return RegistrationResult(last_nu, trajectory, history, iterations, reason, detail)
 
     for k in range(cfg.max_iters + 1):
         try:
             value, chain, deformed, grad_img = evaluate_objective(
                 template, nu, data, cfg.action, cfg.gamma
             )
-        except FlowStabilityError:
-            return RegistrationResult(last_nu, last_traj, history, iterations, StopReason.NUMERICAL_FAILURE)
+        except FlowStabilityError as exc:
+            return stop(StopReason.NUMERICAL_FAILURE, f"iteration {k}: {exc}")
         if not (math.isfinite(value.total) and np.isfinite(deformed.values).all()):
-            return RegistrationResult(last_nu, last_traj, history, iterations, StopReason.NUMERICAL_FAILURE)
+            return stop(
+                StopReason.NUMERICAL_FAILURE, f"iteration {k}: objective or deformed template not finite"
+            )
 
         history.append(value)
         last_nu = nu
-        last_traj = chain.transported_template
+        last_transported = chain.transported_template
 
         attach_backprop_field(chain, grad_img, nu)
-        grad = objective_gradient(nu, chain, kern, cfg.gamma, cfg.action)
-        grad_norm = math.sqrt(velocity_norm_sq(grad))
+        grad = objective_gradient(nu, chain, kern, cfg.gamma)
+        grad_norm = math.sqrt(velocity_norm_sq(grid, grad))
         if progress is not None:
             progress(k, value, grad_norm)
 
         if not math.isfinite(grad_norm):
-            return RegistrationResult(last_nu, last_traj, history, iterations, StopReason.NUMERICAL_FAILURE)
+            return stop(StopReason.NUMERICAL_FAILURE, f"iteration {k}: gradient norm not finite")
         if grad_norm <= cfg.grad_tol:
-            return RegistrationResult(last_nu, last_traj, history, iterations, StopReason.GRAD_TOL)
+            return stop(StopReason.GRAD_TOL)
         if k == cfg.max_iters:
-            return RegistrationResult(last_nu, last_traj, history, iterations, StopReason.MAX_ITERS)
+            return stop(StopReason.MAX_ITERS)
 
-        nu = TimeVelocityField(
-            [
-                VectorField2D(grid, v.vx - cfg.alpha * g.vx, v.vy - cfg.alpha * g.vy)
-                for v, g in zip(nu.fields, grad.fields)
-            ]
-        )
+        grad *= cfg.alpha  # the step, scaled in place: no third velocity-sized array
+        nu = nu - grad
         iterations = k + 1
 
     raise AssertionError("unreachable")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tomoflow import Grid2D, ScalarImage, VectorField2D, make_kernel, smooth
+from tomoflow import Grid2D, ScalarImage, make_kernel, smooth
 
 
 @pytest.fixture
@@ -25,10 +25,14 @@ def gaussian_blob(grid, cx=0.0, cy=0.0, width=3.0, peak=1.0):
 
 
 def random_smooth_field(grid, seed, sigma=4.0, amplitude=1.0):
-    """White noise pushed through the kernel, normalized to a max amplitude."""
+    """White noise pushed through the kernel, normalized to a max amplitude;
+    a (2, ny, nx) array."""
     rng = np.random.default_rng(seed)
-    raw = VectorField2D(grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
-    spec = make_kernel(grid, sigma)
-    s = smooth(spec, raw)
-    mx = max(np.abs(s.vx).max(), np.abs(s.vy).max())
-    return VectorField2D(grid, amplitude * s.vx / mx, amplitude * s.vy / mx)
+    raw = np.stack((rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)))
+    s = smooth(make_kernel(grid, sigma), raw)
+    return amplitude * s / np.abs(s).max()
+
+
+def integrate(img):
+    """Midpoint-rule integral: sum of values times the pixel area."""
+    return float(np.sum(img.values) * img.grid.cell_area)

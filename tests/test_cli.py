@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from tomoflow.cli import EXIT_OK, EXIT_USAGE, build_parser, load_experiment_config, main, ConfigError
+from tomoflow.cli import (
+    EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, ConfigError, build_parser, load_experiment_config, main,
+)
 from tomoflow.io import read_igrd, read_isin
 
 CONFIG = """
@@ -118,6 +120,24 @@ def test_register_bad_config_exit_code(tmp_path):
     path.write_text(CONFIG.replace("sigma = 4.0", "sigma = 0"))
     rc = main(["register", "--config", str(path)])
     assert rc == EXIT_USAGE
+
+
+def test_register_numerical_failure_reports_detail(tmp_path, capsys):
+    path = tmp_path / "violent.ini"
+    path.write_text(CONFIG.replace("alpha = 0.02", "alpha = 1e6").replace("n_steps = 5", "n_steps = 2"))
+    rc = main(["register", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "time index" in err
+
+
+def test_evaluate_truncated_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.igrd"
+    bad.write_bytes(b"IGRD\x01\x00")
+    rc = main(["evaluate", "--image", str(bad), "--reference", str(bad), "--out", str(tmp_path / "s.csv")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"error: {bad}: truncated IGRD header"]
 
 
 def test_phantom_project_noise_fbp_tv_evaluate_pipeline(tmp_path):

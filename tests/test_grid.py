@@ -3,15 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import integrate
 from tomoflow import (
-    DisplacementMap,
     Grid2D,
     GridMismatchError,
     ScalarImage,
-    VectorField2D,
     divergence,
     gradient,
-    integrate,
     sample_bilinear,
 )
 from tomoflow.grid import interp_values
@@ -38,38 +36,37 @@ def test_grid_rejects_bad_extent():
 
 def test_sample_identity_displacement(grid32):
     rng = np.random.default_rng(0)
-    img = ScalarImage(grid32, rng.standard_normal(grid32.shape))
-    out = sample_bilinear(img, DisplacementMap.identity(grid32))
-    np.testing.assert_array_equal(out.values, img.values)
+    img = rng.standard_normal(grid32.shape)
+    out = sample_bilinear(grid32, img, np.zeros((2,) + grid32.shape))
+    np.testing.assert_array_equal(out, img)
 
 
 def test_sample_constant_image_interior(grid32):
-    img = ScalarImage.full(grid32, 1.0)
+    img = np.full(grid32.shape, 1.0)
     rng = np.random.default_rng(1)
     # stay more than one pixel away from the extent so all four neighbours exist
     dx = rng.uniform(-0.4, 0.4, grid32.shape)
     dy = rng.uniform(-0.4, 0.4, grid32.shape)
     dx[0, :] = dx[-1, :] = dx[:, 0] = dx[:, -1] = 0.0
     dy[0, :] = dy[-1, :] = dy[:, 0] = dy[:, -1] = 0.0
-    out = sample_bilinear(img, DisplacementMap(grid32, dx, dy))
-    np.testing.assert_allclose(out.values[1:-1, 1:-1], 1.0, atol=1e-14)
+    out = sample_bilinear(grid32, img, np.stack((dx, dy)))
+    np.testing.assert_allclose(out[1:-1, 1:-1], 1.0, atol=1e-14)
 
 
 def test_sample_ramp_is_exact_at_interior_midpoints(grid32):
     X, _ = grid32.meshgrid()
-    img = ScalarImage(grid32, X.copy())
     half = 0.5 * grid32.hx
-    disp = DisplacementMap(grid32, np.full(grid32.shape, half), np.zeros(grid32.shape))
-    out = sample_bilinear(img, disp)
+    disp = np.stack((np.full(grid32.shape, half), np.zeros(grid32.shape)))
+    out = sample_bilinear(grid32, X.copy(), disp)
     # bilinear interpolation reproduces the linear ramp exactly off the last column
-    np.testing.assert_allclose(out.values[:, :-1], X[:, :-1] + half, atol=1e-12)
+    np.testing.assert_allclose(out[:, :-1], X[:, :-1] + half, atol=1e-12)
 
 
 def test_zero_extension_far_outside(grid16):
-    img = ScalarImage.full(grid16, 7.0)
-    far = np.full(grid16.shape, 40.0)  # way past the extent
-    out = sample_bilinear(img, DisplacementMap(grid16, far, far))
-    np.testing.assert_array_equal(out.values, 0.0)
+    img = np.full(grid16.shape, 7.0)
+    far = np.full((2,) + grid16.shape, 40.0)  # way past the extent
+    out = sample_bilinear(grid16, img, far)
+    np.testing.assert_array_equal(out, 0.0)
 
 
 def masked_interp_reference(grid, values, xq, yq):
@@ -172,66 +169,68 @@ def test_interp_non_finite_coordinates_sample_zero(grid):
 
 
 def test_cached_centers_ignore_meshgrid_mutation(grid16):
-    img = ScalarImage(grid16, np.random.default_rng(23).standard_normal(grid16.shape))
-    identity = DisplacementMap.identity(grid16)
+    img = np.random.default_rng(23).standard_normal(grid16.shape)
+    identity = np.zeros((2,) + grid16.shape)
     X, Y = grid16.meshgrid()  # before the first pull fills the cache
     X0 = X.copy()
     X += 3.0
-    np.testing.assert_array_equal(sample_bilinear(img, identity).values, img.values)
+    np.testing.assert_array_equal(sample_bilinear(grid16, img, identity), img)
     X2, Y2 = grid16.meshgrid()  # after
     assert not np.shares_memory(X, X2)
     X2 += 3.0
     Y2[:] = 0.0
-    np.testing.assert_array_equal(sample_bilinear(img, identity).values, img.values)
+    np.testing.assert_array_equal(sample_bilinear(grid16, img, identity), img)
     X3, Y3 = grid16.meshgrid()
     np.testing.assert_array_equal(X3, X0)
     assert X3.flags.writeable and Y3.flags.writeable
 
 
 def test_sample_grid_mismatch(grid16, grid32):
-    img = ScalarImage.zeros(grid16)
+    img = np.zeros(grid16.shape)
     with pytest.raises(GridMismatchError):
-        sample_bilinear(img, DisplacementMap.identity(grid32))
+        sample_bilinear(grid32, img, np.zeros((2,) + grid32.shape))
+    with pytest.raises(GridMismatchError):
+        sample_bilinear(grid16, img, np.zeros((2,) + grid32.shape))
 
 
 def test_gradient_constant_is_zero(grid16):
-    vf = gradient(ScalarImage.full(grid16, 3.0))
-    np.testing.assert_array_equal(vf.vx, 0.0)
-    np.testing.assert_array_equal(vf.vy, 0.0)
+    vf = gradient(grid16, np.full(grid16.shape, 3.0))
+    assert vf.shape == (2,) + grid16.shape
+    np.testing.assert_array_equal(vf, 0.0)
 
 
 def test_gradient_ramp(grid16):
     X, _ = grid16.meshgrid()
-    vf = gradient(ScalarImage(grid16, X.copy()))
-    np.testing.assert_allclose(vf.vx, 1.0, atol=1e-12)
-    np.testing.assert_allclose(vf.vy, 0.0, atol=1e-12)
+    vf = gradient(grid16, X.copy())
+    np.testing.assert_allclose(vf[0], 1.0, atol=1e-12)
+    np.testing.assert_allclose(vf[1], 0.0, atol=1e-12)
 
 
 def test_gradient_bilinear_product():
     g = Grid2D(8, 8)
     X, Y = g.meshgrid()
-    vf = gradient(ScalarImage(g, X * Y))
-    np.testing.assert_allclose(vf.vx[1:-1, 1:-1], Y[1:-1, 1:-1], atol=1e-12)
-    np.testing.assert_allclose(vf.vy[1:-1, 1:-1], X[1:-1, 1:-1], atol=1e-12)
+    vf = gradient(g, X * Y)
+    np.testing.assert_allclose(vf[0, 1:-1, 1:-1], Y[1:-1, 1:-1], atol=1e-12)
+    np.testing.assert_allclose(vf[1, 1:-1, 1:-1], X[1:-1, 1:-1], atol=1e-12)
 
 
 def test_divergence_constant_field(grid16):
-    vf = VectorField2D(grid16, np.full(grid16.shape, 2.0), np.full(grid16.shape, -1.0))
-    np.testing.assert_array_equal(divergence(vf).values, 0.0)
+    vf = np.stack((np.full(grid16.shape, 2.0), np.full(grid16.shape, -1.0)))
+    np.testing.assert_array_equal(divergence(grid16, vf), 0.0)
 
 
 def test_divergence_linear_field(grid16):
     X, Y = grid16.meshgrid()
-    div = divergence(VectorField2D(grid16, X.copy(), Y.copy()))
-    np.testing.assert_allclose(div.values[1:-1, 1:-1], 2.0, atol=1e-12)
+    div = divergence(grid16, np.stack((X, Y)))
+    np.testing.assert_allclose(div[1:-1, 1:-1], 2.0, atol=1e-12)
 
 
 def test_divergence_free_field_second_order():
     g = Grid2D(16, 16, -np.pi, np.pi, -np.pi, np.pi)
     X, Y = g.meshgrid()
-    div = divergence(VectorField2D(g, np.sin(Y), np.cos(X)))
+    div = divergence(g, np.stack((np.sin(Y), np.cos(X))))
     # analytic divergence is identically zero; discrete error is O(h^2)
-    assert np.abs(div.values[1:-1, 1:-1]).max() <= g.hx**2
+    assert np.abs(div[1:-1, 1:-1]).max() <= g.hx**2
 
 
 def test_integrate_constant():

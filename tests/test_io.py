@@ -43,6 +43,24 @@ def test_igrd_rejects_garbage(tmp_path):
         read_igrd(path)
 
 
+@pytest.mark.parametrize("keep", [5, 6, 44])
+def test_igrd_truncated_header(tmp_path, keep):
+    path = tmp_path / "img.igrd"
+    write_igrd(path, ScalarImage.zeros(Grid2D(4, 3)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="truncated IGRD header"):
+        read_igrd(path)
+
+
+@pytest.mark.parametrize("keep", [5, 6, 28])
+def test_isin_truncated_header(tmp_path, keep):
+    path = tmp_path / "data.isin"
+    write_isin(path, Sinogram.zeros(make_parallel_geometry(Grid2D(32, 32), 6, 48)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="truncated ISIN header"):
+        read_isin(path)
+
+
 def test_isin_roundtrip(tmp_path):
     g = Grid2D(32, 32)
     geom = make_parallel_geometry(g, 6, 48)

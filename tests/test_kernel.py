@@ -4,7 +4,21 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from tomoflow import Grid2D, GridMismatchError, VectorField2D, kernel_value, make_kernel, smooth
+from tomoflow import Grid2D, GridMismatchError, make_kernel, smooth
+
+
+def kernel_value(spec, x, y):
+    """Scalar kernel factor k(x, y) = exp(-|x-y|^2 / (2 sigma^2)), truncated."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    d2 = np.sum((x - y) ** 2, axis=-1)
+    val = np.exp(-d2 / (2.0 * spec.sigma**2))
+    val = np.where(d2 > spec.truncation_radius**2, 0.0, val)
+    return float(val) if val.ndim == 0 else val
+
+
+def random_field(rng, grid):
+    return np.stack((rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)))
 
 
 def brute_force_smooth(grid, sigma, spec, vf):
@@ -15,8 +29,8 @@ def brute_force_smooth(grid, sigma, spec, vf):
     K = np.exp(-d2 / (2.0 * sigma**2))
     K[d2 > spec.truncation_radius**2] = 0.0
     return (
-        (K @ vf.vx.ravel()).reshape(grid.shape) * grid.cell_area,
-        (K @ vf.vy.ravel()).reshape(grid.shape) * grid.cell_area,
+        (K @ vf[0].ravel()).reshape(grid.shape) * grid.cell_area,
+        (K @ vf[1].ravel()).reshape(grid.shape) * grid.cell_area,
     )
 
 
@@ -35,24 +49,23 @@ def test_kernel_rejects_bad_sigma(grid16):
 
 def test_smooth_zero_field(grid16):
     spec = make_kernel(grid16, 3.0)
-    out = smooth(spec, VectorField2D.zeros(grid16))
-    np.testing.assert_array_equal(out.vx, 0.0)
-    np.testing.assert_array_equal(out.vy, 0.0)
+    out = smooth(spec, np.zeros((2,) + grid16.shape))
+    np.testing.assert_array_equal(out, 0.0)
 
 
 def test_smooth_impulse_gives_kernel_profile(grid16):
     sigma = 2.0
     spec = make_kernel(grid16, sigma)
-    vx = np.zeros(grid16.shape)
-    vx[8, 8] = 1.0
-    out = smooth(spec, VectorField2D(grid16, vx, np.zeros(grid16.shape)))
+    u = np.zeros((2,) + grid16.shape)
+    u[0, 8, 8] = 1.0
+    out = smooth(spec, u)
     X, Y = grid16.meshgrid()
     cx, cy = X[8, 8], Y[8, 8]
     d2 = (X - cx) ** 2 + (Y - cy) ** 2
     expected = np.exp(-d2 / (2 * sigma**2)) * grid16.cell_area
     expected[d2 > spec.truncation_radius**2] = 0.0
-    np.testing.assert_allclose(out.vx, expected, atol=1e-12)
-    np.testing.assert_array_equal(out.vy, 0.0)
+    np.testing.assert_allclose(out[0], expected, atol=1e-12)
+    np.testing.assert_array_equal(out[1], 0.0)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0])
@@ -60,23 +73,21 @@ def test_smooth_matches_brute_force(sigma):
     grid = Grid2D(24, 24)
     spec = make_kernel(grid, sigma)
     rng = np.random.default_rng(11)
-    vf = VectorField2D(grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
+    vf = random_field(rng, grid)
     ref_x, ref_y = brute_force_smooth(grid, sigma, spec, vf)
     out = smooth(spec, vf)
-    assert np.linalg.norm(out.vx - ref_x) / np.linalg.norm(ref_x) <= 1e-10
-    assert np.linalg.norm(out.vy - ref_y) / np.linalg.norm(ref_y) <= 1e-10
+    assert np.linalg.norm(out[0] - ref_x) / np.linalg.norm(ref_x) <= 1e-10
+    assert np.linalg.norm(out[1] - ref_y) / np.linalg.norm(ref_y) <= 1e-10
 
 
 def test_smooth_linearity(grid16):
     spec = make_kernel(grid16, 2.5)
     rng = np.random.default_rng(5)
-    u = VectorField2D(grid16, rng.standard_normal(grid16.shape), rng.standard_normal(grid16.shape))
-    v = VectorField2D(grid16, rng.standard_normal(grid16.shape), rng.standard_normal(grid16.shape))
-    combo = VectorField2D(grid16, 2.0 * u.vx - 0.5 * v.vx, 2.0 * u.vy - 0.5 * v.vy)
-    lhs = smooth(spec, combo)
+    u = random_field(rng, grid16)
+    v = random_field(rng, grid16)
+    lhs = smooth(spec, 2.0 * u - 0.5 * v)
     su, sv = smooth(spec, u), smooth(spec, v)
-    np.testing.assert_allclose(lhs.vx, 2.0 * su.vx - 0.5 * sv.vx, atol=1e-12)
-    np.testing.assert_allclose(lhs.vy, 2.0 * su.vy - 0.5 * sv.vy, atol=1e-12)
+    np.testing.assert_allclose(lhs, 2.0 * su - 0.5 * sv, atol=1e-12)
 
 
 def test_smooth_symmetry(grid16):
@@ -84,11 +95,11 @@ def test_smooth_symmetry(grid16):
     rng = np.random.default_rng(6)
     area = grid16.cell_area
     for _ in range(5):
-        u = VectorField2D(grid16, rng.standard_normal(grid16.shape), rng.standard_normal(grid16.shape))
-        v = VectorField2D(grid16, rng.standard_normal(grid16.shape), rng.standard_normal(grid16.shape))
+        u = random_field(rng, grid16)
+        v = random_field(rng, grid16)
         su, sv = smooth(spec, u), smooth(spec, v)
-        lhs = area * np.sum(su.vx * v.vx + su.vy * v.vy)
-        rhs = area * np.sum(u.vx * sv.vx + u.vy * sv.vy)
+        lhs = area * np.sum(su * v)
+        rhs = area * np.sum(u * sv)
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-10
 
 
@@ -97,10 +108,10 @@ def test_smooth_positive_semidefinite(grid16):
     rng = np.random.default_rng(7)
     area = grid16.cell_area
     for _ in range(10):
-        u = VectorField2D(grid16, rng.standard_normal(grid16.shape), rng.standard_normal(grid16.shape))
+        u = random_field(rng, grid16)
         su = smooth(spec, u)
-        quad = area * np.sum(su.vx * u.vx + su.vy * u.vy)
-        norm_sq = area * np.sum(u.vx**2 + u.vy**2)
+        quad = area * np.sum(su * u)
+        norm_sq = area * np.sum(u**2)
         assert quad >= -1e-12 * norm_sq
 
 
@@ -126,14 +137,14 @@ def test_smooth_matches_rfft2_reference(grid, sigma, support, workers):
     spec = make_kernel(grid, sigma)
     assert (spec.support_x, spec.support_y) == support
     rng = np.random.default_rng(12)
-    vf = VectorField2D(grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
+    vf = random_field(rng, grid)
     with scipy.fft.set_workers(workers):
         out = smooth(spec, vf)
-        np.testing.assert_array_equal(out.vx, rfft2_reference(spec, vf.vx))
-        np.testing.assert_array_equal(out.vy, rfft2_reference(spec, vf.vy))
+        np.testing.assert_array_equal(out[0], rfft2_reference(spec, vf[0]))
+        np.testing.assert_array_equal(out[1], rfft2_reference(spec, vf[1]))
 
 
 def test_smooth_grid_mismatch(grid16, grid32):
     spec = make_kernel(grid16, 2.0)
     with pytest.raises(GridMismatchError):
-        smooth(spec, VectorField2D.zeros(grid32))
+        smooth(spec, np.zeros((2,) + grid32.shape))

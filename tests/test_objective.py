@@ -7,8 +7,6 @@ from tomoflow import (
     GroupAction,
     ScalarImage,
     Sinogram,
-    TimeVelocityField,
-    VectorField2D,
     make_kernel,
     make_parallel_geometry,
     ray_transform,
@@ -25,13 +23,13 @@ from tomoflow.objective import (
 from tomoflow.tomo import back_projection
 
 
-def velocity_inner(a, b):
+def velocity_inner(grid, a, b):
     """Discrete pairing matching velocity_norm_sq."""
-    assert a.n_steps == b.n_steps and a.grid == b.grid
-    area = a.grid.cell_area
+    assert a.shape == b.shape
+    area = grid.cell_area
     total = 0.0
-    for wi, fa, fb in zip(time_weights(a.n_steps), a.fields, b.fields):
-        total += wi * area * float(np.sum(fa.vx * fb.vx + fa.vy * fb.vy))
+    for wi, fa, fb in zip(time_weights(len(a) - 1), a, b):
+        total += wi * area * float(np.sum(fa[0] * fb[0] + fa[1] * fb[1]))
     return total
 
 
@@ -46,13 +44,17 @@ def setup16():
 
 
 def constant_time_field(vf, n_steps):
-    return TimeVelocityField([vf.copy() for _ in range(n_steps + 1)])
+    return np.repeat(vf[None], n_steps + 1, axis=0)
+
+
+def zero_velocity(grid, n_steps):
+    return np.zeros((n_steps + 1, 2) + grid.shape)
 
 
 def assemble_gradient(template, nu, data, action, kern, gamma):
     value, chain, _, grad_img = evaluate_objective(template, nu, data, action, gamma)
     attach_backprop_field(chain, grad_img, nu)
-    return objective_gradient(nu, chain, kern, gamma, action), value
+    return objective_gradient(nu, chain, kern, gamma), value
 
 
 def test_time_weights_sum_to_one():
@@ -122,26 +124,24 @@ def test_discrepancy_gradient_linear_in_data(setup16):
 
 
 def test_velocity_norm_zero(grid16):
-    assert velocity_norm_sq(TimeVelocityField.zeros(grid16, 4)) == 0.0
+    assert velocity_norm_sq(grid16, zero_velocity(grid16, 4)) == 0.0
 
 
 def test_velocity_norm_time_constant(grid16):
     rng = np.random.default_rng(6)
-    v = VectorField2D(grid16, rng.standard_normal(grid16.shape), rng.standard_normal(grid16.shape))
+    v = np.stack((rng.standard_normal(grid16.shape), rng.standard_normal(grid16.shape)))
     nu = constant_time_field(v, 7)
-    expected = grid16.cell_area * np.sum(v.vx**2 + v.vy**2)
-    assert velocity_norm_sq(nu) == pytest.approx(expected, rel=1e-12)
+    expected = grid16.cell_area * np.sum(v[0]**2 + v[1]**2)
+    assert velocity_norm_sq(grid16, nu) == pytest.approx(expected, rel=1e-12)
 
 
 def test_velocity_norm_linear_in_time(grid16):
     rng = np.random.default_rng(7)
-    w = VectorField2D(grid16, rng.standard_normal(grid16.shape), rng.standard_normal(grid16.shape))
+    w = np.stack((rng.standard_normal(grid16.shape), rng.standard_normal(grid16.shape)))
     n = 8
-    fields = [
-        VectorField2D(grid16, (i / n) * w.vx, (i / n) * w.vy) for i in range(n + 1)
-    ]
-    norm_w = grid16.cell_area * np.sum(w.vx**2 + w.vy**2)
-    got = velocity_norm_sq(TimeVelocityField(fields))
+    nu = np.array([(i / n) * w for i in range(n + 1)])
+    norm_w = grid16.cell_area * np.sum(w[0]**2 + w[1]**2)
+    got = velocity_norm_sq(grid16, nu)
     # trapezoid of t^2: 1/3 + 1/(6 n^2)
     assert got == pytest.approx(norm_w * (1.0 / 3.0 + 1.0 / (6 * n**2)), rel=1e-12)
     assert abs(got - norm_w / 3.0) <= norm_w / n**2
@@ -151,13 +151,11 @@ def test_velocity_norm_linear_in_time(grid16):
 def test_gradient_zero_at_perfect_match(action, setup16):
     grid, geom, template, _ = setup16
     data = ray_transform(template, geom)
-    nu = TimeVelocityField.zeros(grid, 5)
+    nu = zero_velocity(grid, 5)
     kern = make_kernel(grid, 4.0)
     grad, value = assemble_gradient(template, nu, data, action, kern, gamma=0.3)
     assert value.discrepancy == 0.0
-    for f in grad.fields:
-        np.testing.assert_array_equal(f.vx, 0.0)
-        np.testing.assert_array_equal(f.vy, 0.0)
+    np.testing.assert_array_equal(grad, 0.0)
 
 
 @pytest.mark.parametrize("action", list(GroupAction))
@@ -170,9 +168,7 @@ def test_gradient_is_penalty_only_for_zero_template(action, setup16):
     base = random_smooth_field(grid, seed=12, amplitude=0.5)
     nu = constant_time_field(base, 5)
     grad, _ = assemble_gradient(template, nu, data, action, kern, gamma)
-    for f, v in zip(grad.fields, nu.fields):
-        np.testing.assert_array_equal(f.vx, 2.0 * gamma * v.vx)
-        np.testing.assert_array_equal(f.vy, 2.0 * gamma * v.vy)
+    np.testing.assert_array_equal(grad, 2.0 * gamma * nu)
 
 
 def fd_relative_errors(action, n_trials, eps=1e-6, gamma=1e-7):
@@ -183,22 +179,17 @@ def fd_relative_errors(action, n_trials, eps=1e-6, gamma=1e-7):
     data = ray_transform(target, geom)
     kern = make_kernel(grid, 4.0)
     n = 5
-    nu = TimeVelocityField.zeros(grid, n)
+    nu = zero_velocity(grid, n)
     grad, _ = assemble_gradient(template, nu, data, action, kern, gamma)
 
     rels = []
     for trial in range(n_trials):
         w = random_smooth_field(grid, seed=100 + trial, amplitude=1.0)
         eta = smooth(kern, w)  # direction in the kernel space: eta = K w
-        claimed = velocity_inner(grad, constant_time_field(w, n))
+        claimed = velocity_inner(grid, grad, constant_time_field(w, n))
 
         def total(sign):
-            shifted = TimeVelocityField(
-                [
-                    VectorField2D(grid, f.vx + sign * eps * eta.vx, f.vy + sign * eps * eta.vy)
-                    for f in nu.fields
-                ]
-            )
+            shifted = nu + sign * eps * eta
             value, *_ = evaluate_objective(template, shifted, data, action, gamma)
             return value.total
 
@@ -230,17 +221,12 @@ def test_negative_gradient_descends(action):
     data = ray_transform(target, geom)
     kern = make_kernel(grid, 4.0)
     gamma = 1e-7
-    nu = TimeVelocityField.zeros(grid, 5)
+    nu = zero_velocity(grid, 5)
     grad, value0 = assemble_gradient(template, nu, data, GroupAction.GEOMETRIC, kern, gamma)
 
     alpha = 0.1
     for _ in range(12):  # halve until decrease
-        stepped = TimeVelocityField(
-            [
-                VectorField2D(grid, v.vx - alpha * g.vx, v.vy - alpha * g.vy)
-                for v, g in zip(nu.fields, grad.fields)
-            ]
-        )
+        stepped = nu - alpha * grad
         value, *_ = evaluate_objective(template, stepped, data, action, gamma)
         if value.total < value0.total:
             break

@@ -38,9 +38,8 @@ def test_perfect_data_stops_immediately(problem32):
     assert res.stop_reason is StopReason.GRAD_TOL
     assert res.iterations_run == 0
     assert len(res.objective_history) == 1
-    for f in res.final_velocity.fields:
-        np.testing.assert_array_equal(f.vx, 0.0)
-        np.testing.assert_array_equal(f.vy, 0.0)
+    assert res.final_velocity.shape == (6, 2) + grid.shape
+    np.testing.assert_array_equal(res.final_velocity, 0.0)
 
 
 def test_single_step_descends(problem32):
@@ -56,6 +55,7 @@ def test_history_and_trajectory_shapes(problem32):
     cfg = small_cfg(max_iters=4)
     res = register(template, data, geom, cfg)
     assert res.stop_reason is StopReason.MAX_ITERS
+    assert res.stop_detail == ""
     assert res.iterations_run == 4
     assert len(res.objective_history) == 5
     assert len(res.trajectory) == cfg.n_steps + 1
@@ -70,11 +70,50 @@ def test_bitwise_determinism(problem32):
     cfg = small_cfg(max_iters=5)
     res1 = register(template, noisy, geom, cfg)
     res2 = register(template, noisy, geom, cfg)
-    for f1, f2 in zip(res1.final_velocity.fields, res2.final_velocity.fields):
-        np.testing.assert_array_equal(f1.vx, f2.vx)
-        np.testing.assert_array_equal(f1.vy, f2.vy)
+    np.testing.assert_array_equal(res1.final_velocity, res2.final_velocity)
     np.testing.assert_array_equal(res1.trajectory[-1].values, res2.trajectory[-1].values)
     assert [v.total for v in res1.objective_history] == [v.total for v in res2.objective_history]
+
+
+def fingerprint(a):
+    """Sum, sum of squares and a cosine-weighted sum of every element."""
+    w = np.cos(np.arange(a.size, dtype=np.float64)).reshape(a.shape)
+    return [float(np.sum(a)), float(np.sum(a * a)), float(np.sum(w * a))]
+
+
+# Recorded with the earlier per-frame field classes (velocity stacked as
+# [[f.vx, f.vy] for f in fields]). The array form does each element's
+# arithmetic in the same order, so any drift here is a changed answer.
+ANCHOR = {
+    GroupAction.GEOMETRIC: dict(
+        final_E=17.086375151352495,
+        nu=[17114.460475920914, 64140.744590499846, 0.09529807950432612],
+        nu_points=[6.82062858341826, 1.6305363883079678, -0.14131227614715525],
+        last=[70.13476879798861, 34.742326943639, 1.162651195833459],
+        last_points=[0.6411277513820273, 0.2377267280469909],
+    ),
+    GroupAction.MASS_PRESERVING: dict(
+        final_E=35.704542979862254,
+        nu=[12708.349860057642, 46452.307315810234, -0.05618083159750492],
+        nu_points=[8.697401931158389, 2.1095010790769777, 2.2336212016485963],
+        last=[96.71573732237475, 43.03561813394257, 0.7561942545747035],
+        last_points=[0.7136449497916723, 0.2948752935393327],
+    ),
+}
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_answers_match_recorded_anchor(problem32, action):
+    grid, geom, template, _, data = problem32
+    res = register(template, data, geom, small_cfg(max_iters=5, action=action))
+    ref = ANCHOR[action]
+    nu, last = res.final_velocity, res.trajectory[-1].values
+    exact = dict(rel=1e-12, abs=1e-12)
+    assert res.objective_history[-1].total == pytest.approx(ref["final_E"], **exact)
+    assert fingerprint(nu) == pytest.approx(ref["nu"], **exact)
+    assert [nu[2, 0, 16, 16], nu[5, 1, 10, 20], nu[0, 1, 20, 9]] == pytest.approx(ref["nu_points"], **exact)
+    assert fingerprint(last) == pytest.approx(ref["last"], **exact)
+    assert [last[16, 16], last[12, 20]] == pytest.approx(ref["last_points"], **exact)
 
 
 def test_monotone_descent_with_small_alpha(problem32):
@@ -89,8 +128,9 @@ def test_numerical_failure_reports_partial_history(problem32):
     res = register(template, data, geom, small_cfg(alpha=1e6, max_iters=10, n_steps=2))
     assert res.stop_reason is StopReason.NUMERICAL_FAILURE
     assert len(res.objective_history) >= 1
-    for f in res.final_velocity.fields:  # last finite iterate is returned
-        assert np.isfinite(f.vx).all() and np.isfinite(f.vy).all()
+    assert np.isfinite(res.final_velocity).all()  # last finite iterate is returned
+    assert "time index" in res.stop_detail
+    assert res.stop_detail.startswith(f"iteration {res.iterations_run}:")
 
 
 def test_progress_callback_sees_every_iteration(problem32):
