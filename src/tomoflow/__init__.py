@@ -12,6 +12,7 @@ from .grid import (
     Grid2D,
     GridMismatchError,
     ScalarImage,
+    characteristics,
     divergence,
     gradient,
     sample_bilinear,
@@ -51,6 +52,7 @@ __all__ = [
     "TVConfig",
     "add_noise",
     "back_projection",
+    "characteristics",
     "deform",
     "divergence",
     "fbp",

@@ -11,16 +11,24 @@ Conventions shared by the whole package:
   these are plain arrays, and the grid is passed alongside them,
 * sampling outside the grid extent evaluates to 0 (zero extension),
 * gradient/divergence use second-order central differences in the
-  interior and first-order one-sided differences on the boundary.
+  interior and first-order one-sided differences on the boundary,
+  written out directly with numpy's own ``np.gradient(edge_order=1)``
+  formula ((f[2:] - f[:-2]) / (2h) inside, (f[1] - f[0]) / h and
+  (f[-1] - f[-2]) / h on the edges), so they are bit-identical to it.
 
-``sample_bilinear``, ``gradient`` and ``divergence`` each return a
-freshly allocated array.
+A pull is split in two: ``characteristics`` turns a displacement into
+the corner indices and bilinear weights of its feet, and
+``sample_bilinear`` gathers an image through them, so several images
+pulled along one displacement share that work. ``characteristics``,
+``sample_bilinear``, ``gradient`` and ``divergence`` each return freshly
+allocated arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,81 +110,119 @@ class ScalarImage:
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-def _fractional_index(q, lo: float, h: float, n: int, shape) -> np.ndarray:
-    """(q - lo) / h - 0.5 clamped to [-2, n]; NaN maps to -2."""
-    f = np.subtract(q, lo, out=np.empty(shape))
-    f /= h
-    f -= 0.5
-    np.fmax(f, -2.0, out=f)
-    np.fmin(f, n, out=f)
-    return f
+def _fractional_index(q: np.ndarray, lo: float, h: float, n: int) -> np.ndarray:
+    """(q - lo) / h - 0.5 clamped to [-2, n], in place; NaN maps to -2."""
+    q -= lo
+    q /= h
+    q -= 0.5
+    np.fmax(q, -2.0, out=q)
+    np.fmin(q, n, out=q)
+    return q
 
 
-def interp_values(grid: Grid2D, values: np.ndarray, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of pixel-center samples at physical points.
+class Characteristic(NamedTuple):
+    """The feet x + disp(x) of every pixel centre, ready for bilinear pulls.
 
-    Points outside the extent see zeros: the four corners are gathered
-    from a copy of ``values`` zero-padded by two pixels on each side,
-    after the fractional pixel index is clamped to [-2, n]. A clamped
-    point (anything a pixel or more outside the extent, and every NaN or
-    infinite coordinate) has all four corners on the padding, so it
+    ``corner`` holds the flat index of each foot's (0, 0) corner in an
+    image zero-padded by two pixels on each side (width nx + 4); corners
+    (0, 1), (1, 0) and (1, 1) lie 1, nx + 4 and nx + 5 entries further
+    on. ``weights`` holds the four bilinear weights in that corner order,
+    (sx*sy, tx*sy, sx*ty, tx*ty), as a (4, ny, nx) array.
+    """
+
+    corner: np.ndarray
+    weights: np.ndarray
+
+
+def characteristics(grid: Grid2D, disp: np.ndarray) -> Characteristic:
+    """Clamped corner indices and bilinear weights of the feet x + disp(x).
+
+    ``disp`` is a (2, ny, nx) displacement, component 0 along x. The
+    fractional pixel index of each foot is clamped to [-2, n]. A clamped
+    foot (anything a pixel or more outside the extent, and every NaN or
+    infinite coordinate) then has all four corners on the padding, so it
     samples 0 whatever the image holds.
     """
+    if disp.shape != (2,) + grid.shape:
+        raise GridMismatchError(f"displacement {disp.shape} is not on grid {grid.shape}")
     nx, ny = grid.nx, grid.ny
-    shape = np.broadcast_shapes(np.shape(xq), np.shape(yq))
-    fx = _fractional_index(xq, grid.x_min, grid.hx, nx, shape)
-    fy = _fractional_index(yq, grid.y_min, grid.hy, ny, shape)
-    x0 = np.floor(fx)
-    y0 = np.floor(fy)
-    tx = fx - x0
-    ty = fy - y0
-    sx = np.subtract(1.0, tx, out=fx)
-    sy = np.subtract(1.0, ty, out=fy)
+    X, Y = grid._centers
+    tx = _fractional_index(X + disp[0], grid.x_min, grid.hx, nx)
+    ty = _fractional_index(Y + disp[1], grid.y_min, grid.hy, ny)
+    x0 = np.floor(tx)
+    y0 = np.floor(ty)
+    tx -= x0
+    ty -= y0
+    sx = 1.0 - tx
+    sy = 1.0 - ty
+    weights = np.empty((4, ny, nx))
+    np.multiply(sx, sy, out=weights[0])
+    np.multiply(tx, sy, out=weights[1])
+    np.multiply(sx, ty, out=weights[2])
+    np.multiply(tx, ty, out=weights[3])
 
-    w = nx + 4
-    padded = np.zeros((ny + 4, w))
-    padded[2:ny + 2, 2:nx + 2] = values
-    flat = padded.ravel()
     # flat index of corner (0, 0) in the padded copy; y0, x0 >= -2
+    w = nx + 4
     y0 *= w
     y0 += x0
-    idx = y0.astype(np.intp)
-    idx += 2 * w + 2
+    corner = y0.astype(np.intp)
+    corner += 2 * w + 2
+    return Characteristic(corner, weights)
 
-    # corners (0,0), (0,1), (1,0), (1,1) as (dy, dx), each term (wx*wy)*f:
-    # the masked per-corner form's products and summation order, so the
-    # result is bit-identical to it
-    out = sx * sy
-    out *= flat.take(idx)
-    for wx, wy, step in ((tx, sy, 1), (sx, ty, w - 1), (tx, ty, 1)):
-        idx += step
-        term = np.multiply(wx, wy, out=x0)
-        term *= flat.take(idx)
+
+def sample_bilinear(grid: Grid2D, f: np.ndarray, feet: Characteristic) -> np.ndarray:
+    """Bilinear samples of the image ``f`` at the feet of a characteristic.
+
+    The corners are gathered from a copy of ``f`` zero-padded by two
+    pixels on each side, so feet outside the extent see zeros. Each term
+    is (wx*wy)*f and the corners are summed in the order (0,0), (0,1),
+    (1,0), (1,1): the masked per-corner form's products and summation
+    order, so the result is bit-identical to it.
+    """
+    corner, weights = feet
+    if f.shape != grid.shape or corner.shape != grid.shape:
+        raise GridMismatchError(f"image {f.shape} or feet {corner.shape} are not on grid {grid.shape}")
+    nx, ny = grid.nx, grid.ny
+    w = nx + 4
+    padded = np.zeros((ny + 4, w))
+    padded[2:ny + 2, 2:nx + 2] = f
+    flat = padded.ravel()
+    out = flat.take(corner)
+    out *= weights[0]
+    term = np.empty(grid.shape)
+    for k, step in ((1, 1), (2, w), (3, w + 1)):
+        # "clip" lets take write into term unbuffered; every index is in range
+        flat[step:].take(corner, out=term, mode="clip")
+        term *= weights[k]
         out += term
     return out
 
 
-def sample_bilinear(grid: Grid2D, f: np.ndarray, disp: np.ndarray) -> np.ndarray:
-    """Sample the image ``f`` at x + disp(x) for every pixel center x.
-
-    ``disp`` is a (2, ny, nx) displacement, component 0 along x.
-    """
-    if f.shape != grid.shape or disp.shape != (2,) + grid.shape:
-        raise GridMismatchError(f"image {f.shape} or displacement {disp.shape} is not on grid {grid.shape}")
-    X, Y = grid._centers
-    return interp_values(grid, f, X + disp[0], Y + disp[1])
+def _central_difference(f: np.ndarray, h: float, out: np.ndarray) -> None:
+    """numpy.gradient's edge_order=1 formula along axis 0, into ``out``."""
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * h
+    np.subtract(f[1], f[0], out=out[0])
+    out[0] /= h
+    np.subtract(f[-1], f[-2], out=out[-1])
+    out[-1] /= h
 
 
 def gradient(grid: Grid2D, f: np.ndarray) -> np.ndarray:
     """Finite-difference spatial gradient (central interior, one-sided edges),
     as a (2, ny, nx) array with component 0 along x."""
-    ddy, ddx = np.gradient(f, grid.hy, grid.hx, edge_order=1)
-    return np.stack((ddx, ddy))
+    out = np.empty((2,) + f.shape)
+    _central_difference(f.T, grid.hx, out[0].T)
+    _central_difference(f, grid.hy, out[1])
+    return out
 
 
 def divergence(grid: Grid2D, v: np.ndarray) -> np.ndarray:
     """div v = dv0/dx + dv1/dy of a (2, ny, nx) field, with the difference
     scheme of ``gradient``."""
-    ddx = np.gradient(v[0], grid.hx, axis=1, edge_order=1)
-    ddy = np.gradient(v[1], grid.hy, axis=0, edge_order=1)
-    return ddx + ddy
+    out = np.empty(v.shape[1:])
+    ddy = np.empty(v.shape[1:])
+    _central_difference(v[0].T, grid.hx, out.T)
+    _central_difference(v[1], grid.hy, ddy)
+    out += ddy
+    return out

@@ -9,6 +9,7 @@ u32 n_detectors, f64 s_min/s_max, then angle-major f64 values.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -26,6 +27,14 @@ def _read_header(fh, path, kind: str, fmt: str) -> tuple:
     if len(raw) != struct.calcsize(fmt):
         raise ValueError(f"{path}: truncated {kind} header")
     return struct.unpack(fmt, raw)
+
+
+def _read_payload(fh, path, kind: str, count: int) -> np.ndarray:
+    """``count`` f64 values, checked against the bytes left in the file
+    before anything is read, so a header's declared size is never trusted."""
+    if 8 * count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{path}: truncated {kind} payload")
+    return np.frombuffer(fh.read(8 * count), dtype="<f8")
 
 
 def write_igrd(path, img: ScalarImage) -> None:
@@ -46,9 +55,7 @@ def read_igrd(path) -> ScalarImage:
         version, nx, ny, x_min, x_max, y_min, y_max = _read_header(fh, path, "IGRD", "<BIIdddd")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported IGRD version {version}")
-        data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8")
-    if data.size != nx * ny:
-        raise ValueError(f"{path}: truncated IGRD payload")
+        data = _read_payload(fh, path, "IGRD", nx * ny)
     grid = Grid2D(nx=nx, ny=ny, x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
     return ScalarImage(grid, data.reshape(ny, nx).copy())
 
@@ -73,9 +80,7 @@ def read_isin(path, grid: Grid2D | None = None) -> Sinogram:
         version, m, p, s_min, s_max = _read_header(fh, path, "ISIN", "<BIIdd")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported ISIN version {version}")
-        data = np.frombuffer(fh.read(8 * m * p), dtype="<f8")
-    if data.size != m * p:
-        raise ValueError(f"{path}: truncated ISIN payload")
+        data = _read_payload(fh, path, "ISIN", m * p)
     hs = (s_max - s_min) / p
     ray_step = 0.5 * min(grid.hx, grid.hy) if grid is not None else 0.5 * hs
     geom = SinogramGeometry(

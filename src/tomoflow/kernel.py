@@ -8,12 +8,24 @@ truncated kernel times the pixel area, computed as a linear
 wrap-around. Each component is transformed as its own contiguous 2-D
 slice and written straight into the output array.
 
+FFT size. Along an axis of n pixels the kernel's half-support is
+r = min(ceil(4 sigma / h), n - 1): a tap further out than n - 1 pixels
+never joins a kept output pixel to an input pixel. The transform length
+is L = next_fast_len(n + r), not the n + 2r of the full linear
+convolution, because only the window of kept outputs must be free of
+aliasing. The linear convolution has entries at indices 0..n+2r-1 and
+keeps r..r+n-1. A circular transform of length L folds entry j >= L
+onto j - L <= n + 2r - 1 - L <= r - 1, below the kept window, so with
+L >= n + r the kept pixels equal the linear convolution's up to
+rounding (and r <= n - 1 keeps the 2r + 1 taps within L).
+
 The zero-padded 2-D transform is taken in its separable stages, which
 skip the work on padding: the row transforms run on the ``ny`` data rows
 only, and after the column transforms only the ``ny`` output rows that
 are kept are transformed back. The 1/(H*W) scale is applied once at the
 end, where the 2-D inverse transform applies it, so the result is
-bit-identical to ``irfft2(rfft2(u, s) * freq_kernel, s)``.
+bit-identical to ``irfft2(rfft2(u, s) * freq_kernel, s)`` at
+``s = fft_shape``.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ class KernelSpec:
     sigma: float
     grid: Grid2D
     truncation_radius: float
-    support_x: int            # kernel half-support in pixels
+    support_x: int            # kernel half-support in pixels, at most n - 1
     support_y: int
     fft_shape: tuple[int, int]
     freq_kernel: np.ndarray   # rfft2 of sampled kernel * cell area
@@ -45,8 +57,9 @@ def make_kernel(grid: Grid2D, sigma: float) -> KernelSpec:
     if sigma <= 0:
         raise ValueError(f"kernel width sigma must be > 0, got {sigma}")
     radius = TRUNCATION_SIGMAS * sigma
-    rx = int(np.ceil(radius / grid.hx))
-    ry = int(np.ceil(radius / grid.hy))
+    # taps more than n - 1 pixels out never reach a kept output
+    rx = min(int(np.ceil(radius / grid.hx)), grid.nx - 1)
+    ry = min(int(np.ceil(radius / grid.hy)), grid.ny - 1)
     ox = np.arange(-rx, rx + 1) * grid.hx
     oy = np.arange(-ry, ry + 1) * grid.hy
     d2 = oy[:, None] ** 2 + ox[None, :] ** 2
@@ -54,8 +67,7 @@ def make_kernel(grid: Grid2D, sigma: float) -> KernelSpec:
     kern[d2 > radius * radius] = 0.0
     kern *= grid.cell_area
 
-    full = (grid.ny + 2 * ry, grid.nx + 2 * rx)
-    fft_shape = (scipy.fft.next_fast_len(full[0]), scipy.fft.next_fast_len(full[1]))
+    fft_shape = (scipy.fft.next_fast_len(grid.ny + ry), scipy.fft.next_fast_len(grid.nx + rx))
     freq = scipy.fft.rfft2(kern, s=fft_shape)
     return KernelSpec(
         sigma=float(sigma),

@@ -126,6 +126,9 @@ def register(
             value, chain, deformed, grad_img = evaluate_objective(
                 template, nu, data, cfg.action, cfg.gamma
             )
+            # the backward sweep builds the geometric Jacobian, so its
+            # finiteness check fails here, before this iterate is kept
+            attach_backprop_field(chain, grad_img, nu)
         except FlowStabilityError as exc:
             return stop(StopReason.NUMERICAL_FAILURE, f"iteration {k}: {exc}")
         if not (math.isfinite(value.total) and np.isfinite(deformed.values).all()):
@@ -137,7 +140,6 @@ def register(
         last_nu = nu
         last_transported = chain.transported_template
 
-        attach_backprop_field(chain, grad_img, nu)
         grad = objective_gradient(nu, chain, kern, cfg.gamma)
         grad_norm = math.sqrt(velocity_norm_sq(grid, grad))
         if progress is not None:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -138,6 +139,18 @@ def test_evaluate_truncated_file_is_usage_error(tmp_path, capsys):
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.strip().splitlines() == [f"error: {bad}: truncated IGRD header"]
+
+
+def test_evaluate_oversized_header_is_usage_error(tmp_path, capsys):
+    # a 61-byte IGRD file (45-byte header, 16 payload bytes) declaring 2^32-1 x 2^32-1
+    bad = tmp_path / "huge.igrd"
+    bad.write_bytes(b"IGRD\x01" + struct.pack("<IIdddd", 2**32 - 1, 2**32 - 1, -1.0, 1.0, -1.0, 1.0)
+                    + bytes(16))
+    assert bad.stat().st_size == 61
+    rc = main(["evaluate", "--image", str(bad), "--reference", str(bad), "--out", str(tmp_path / "s.csv")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"error: {bad}: truncated IGRD payload"]
 
 
 def test_phantom_project_noise_fbp_tv_evaluate_pipeline(tmp_path):

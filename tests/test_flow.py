@@ -1,15 +1,37 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_blob
+from conftest import gaussian_blob, random_smooth_field
 from tomoflow import Grid2D, GroupAction, ScalarImage
 from tomoflow.flow import (
     FlowStabilityError,
-    advance_transported_template,
-    backpropagate_field,
+    attach_backprop_field,
     build_flow_chain,
     jacobian_step,
+    step_characteristic,
 )
+from tomoflow.grid import sample_bilinear
+
+
+def advance_transported_template(grid, prev, v_i, n_steps):
+    """One forward pull: prev sampled at x - v_i(x)/N."""
+    return sample_bilinear(grid, prev, step_characteristic(grid, v_i, n_steps, -1.0))
+
+
+def backpropagate_field(grid, nxt, v_i, n_steps):
+    """One backward pull: nxt sampled at x + v_i(x)/N."""
+    return sample_bilinear(grid, nxt, step_characteristic(grid, v_i, n_steps, 1.0))
+
+
+def jacobian_by_steps(grid, jac, v_i, n_steps, sign):
+    return jacobian_step(grid, jac, v_i, step_characteristic(grid, v_i, n_steps, sign), n_steps, sign)
+
+
+def full_chain(template, nu, action):
+    """A chain with both sweeps run (zero data gradient), so every array is filled."""
+    chain = build_flow_chain(template, nu, action)
+    attach_backprop_field(chain, ScalarImage.zeros(template.grid), nu)
+    return chain
 
 
 def constant_field(grid, cx, cy):
@@ -62,19 +84,19 @@ def test_advance_translates_blob():
 
 def test_jacobian_to_one_zero_velocity(grid16):
     ones = np.full(grid16.shape, 1.0)
-    out = jacobian_step(grid16, ones, zero_field(grid16), 8, +1.0)
+    out = jacobian_by_steps(grid16, ones, zero_field(grid16), 8, +1.0)
     np.testing.assert_array_equal(out, 1.0)
 
 
 def test_jacobian_to_one_single_dilation_step(grid16):
     n = 10
-    out = jacobian_step(grid16, np.full(grid16.shape, 1.0), dilation_field(grid16), n, +1.0)
+    out = jacobian_by_steps(grid16, np.full(grid16.shape, 1.0), dilation_field(grid16), n, +1.0)
     np.testing.assert_allclose(out[1:-1, 1:-1], 1.0 + 2.0 / n, atol=1e-12)
 
 
 def test_jacobian_to_zero_single_dilation_step(grid16):
     n = 10
-    out = jacobian_step(grid16, np.full(grid16.shape, 1.0), dilation_field(grid16), n, -1.0)
+    out = jacobian_by_steps(grid16, np.full(grid16.shape, 1.0), dilation_field(grid16), n, -1.0)
     np.testing.assert_allclose(out[1:-1, 1:-1], 1.0 - 2.0 / n, atol=1e-12)
 
 
@@ -85,7 +107,7 @@ def test_jacobian_rotation_stays_near_one(builder):
     n = 20
     nu = time_constant(v, n)
     action = GroupAction.GEOMETRIC if builder == "to_one" else GroupAction.MASS_PRESERVING
-    jac = build_flow_chain(ScalarImage.full(grid, 1.0), nu, action).jacobian
+    jac = full_chain(ScalarImage.full(grid, 1.0), nu, action).jacobian
     # volume-preserving flow: determinant 1 up to O(1/N); stay away from
     # the boundary band that zero extension contaminates
     X, Y = grid.meshgrid()
@@ -116,7 +138,7 @@ def test_zero_field_gives_identity_chain(grid32):
     rng = np.random.default_rng(9)
     template = ScalarImage(grid32, rng.standard_normal(grid32.shape))
     nu = np.zeros((7, 2) + grid32.shape)
-    chain = build_flow_chain(template, nu, GroupAction.GEOMETRIC)
+    chain = full_chain(template, nu, GroupAction.GEOMETRIC)
     for img in chain.transported_template:
         np.testing.assert_array_equal(img, template.values)
     np.testing.assert_array_equal(chain.jacobian, 1.0)
@@ -128,7 +150,7 @@ def test_chain_boundary_values():
     template = ScalarImage(grid, rng.standard_normal(grid.shape))
     v = rotation_field(grid, 0.3)
     nu = time_constant(v, 8)
-    chain = build_flow_chain(template, nu, GroupAction.GEOMETRIC)
+    chain = full_chain(template, nu, GroupAction.GEOMETRIC)
     np.testing.assert_array_equal(chain.transported_template[0], template.values)
     np.testing.assert_array_equal(chain.jacobian[-1], 1.0)
     chain_mp = build_flow_chain(template, nu, GroupAction.MASS_PRESERVING)
@@ -205,8 +227,44 @@ def test_rotation_field_first_order_convergence():
     assert np.log2(e16 / e32) >= 0.8
 
 
-def test_flow_stability_error_on_violent_field(grid16):
-    v = 50.0 * dilation_field(grid16)  # div = 100 >> n
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_flow_stability_error_on_violent_field(grid16, action):
+    # |div| = 100 >> n, of the sign that drives the factor 1 +- div/N negative
+    geometric = action is GroupAction.GEOMETRIC
+    v = (-50.0 if geometric else 50.0) * dilation_field(grid16)
     nu = time_constant(v, 3)
-    with pytest.raises(FlowStabilityError):
-        build_flow_chain(ScalarImage.full(grid16, 1.0), nu, GroupAction.MASS_PRESERVING)
+    # the geometric Jacobian is built by the backward sweep, but its step
+    # factors are checked by the forward one, from i = N-1 down
+    index = 2 if geometric else 1
+    with pytest.raises(FlowStabilityError, match=f"at time index {index};"):
+        build_flow_chain(ScalarImage.full(grid16, 1.0), nu, action)
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_chain_matches_step_by_step_recursions(action):
+    grid = Grid2D(32, 24, -16.0, 16.0, -6.0, 6.0)
+    rng = np.random.default_rng(25)
+    n = 6
+    template = ScalarImage(grid, rng.standard_normal(grid.shape))
+    grad_image = ScalarImage(grid, rng.standard_normal(grid.shape))
+    nu = 0.3 * np.stack([random_smooth_field(grid, seed) for seed in range(n + 1)])
+    chain = build_flow_chain(template, nu, action)
+    attach_backprop_field(chain, grad_image, nu)
+
+    transported, back = [template.values], [grad_image.values]
+    for i in range(1, n + 1):
+        transported.append(advance_transported_template(grid, transported[-1], nu[i], n))
+    for i in range(n - 1, -1, -1):
+        back.insert(0, backpropagate_field(grid, back[0], nu[i], n))
+    if action is GroupAction.GEOMETRIC:
+        jac = [np.ones(grid.shape)]
+        for i in range(n - 1, -1, -1):
+            jac.insert(0, jacobian_by_steps(grid, jac[0], nu[i], n, 1.0))
+    else:
+        jac = [np.ones(grid.shape)]
+        for i in range(1, n + 1):
+            jac.append(jacobian_by_steps(grid, jac[-1], nu[i], n, -1.0))
+    assert np.abs(np.asarray(jac) - 1.0).max() > 0.01  # the flow is not trivial
+    np.testing.assert_array_equal(chain.transported_template, transported)
+    np.testing.assert_array_equal(chain.backprop_field, back)
+    np.testing.assert_array_equal(chain.jacobian, jac)

@@ -8,11 +8,15 @@ from tomoflow import (
     Grid2D,
     GridMismatchError,
     ScalarImage,
+    characteristics,
     divergence,
     gradient,
     sample_bilinear,
 )
-from tomoflow.grid import interp_values
+
+
+def pull(grid, img, disp):
+    return sample_bilinear(grid, img, characteristics(grid, disp))
 
 
 def test_grid_geometry():
@@ -37,7 +41,7 @@ def test_grid_rejects_bad_extent():
 def test_sample_identity_displacement(grid32):
     rng = np.random.default_rng(0)
     img = rng.standard_normal(grid32.shape)
-    out = sample_bilinear(grid32, img, np.zeros((2,) + grid32.shape))
+    out = pull(grid32, img, np.zeros((2,) + grid32.shape))
     np.testing.assert_array_equal(out, img)
 
 
@@ -49,7 +53,7 @@ def test_sample_constant_image_interior(grid32):
     dy = rng.uniform(-0.4, 0.4, grid32.shape)
     dx[0, :] = dx[-1, :] = dx[:, 0] = dx[:, -1] = 0.0
     dy[0, :] = dy[-1, :] = dy[:, 0] = dy[:, -1] = 0.0
-    out = sample_bilinear(grid32, img, np.stack((dx, dy)))
+    out = pull(grid32, img, np.stack((dx, dy)))
     np.testing.assert_allclose(out[1:-1, 1:-1], 1.0, atol=1e-14)
 
 
@@ -57,7 +61,7 @@ def test_sample_ramp_is_exact_at_interior_midpoints(grid32):
     X, _ = grid32.meshgrid()
     half = 0.5 * grid32.hx
     disp = np.stack((np.full(grid32.shape, half), np.zeros(grid32.shape)))
-    out = sample_bilinear(grid32, X.copy(), disp)
+    out = pull(grid32, X.copy(), disp)
     # bilinear interpolation reproduces the linear ramp exactly off the last column
     np.testing.assert_allclose(out[:, :-1], X[:, :-1] + half, atol=1e-12)
 
@@ -65,7 +69,7 @@ def test_sample_ramp_is_exact_at_interior_midpoints(grid32):
 def test_zero_extension_far_outside(grid16):
     img = np.full(grid16.shape, 7.0)
     far = np.full((2,) + grid16.shape, 40.0)  # way past the extent
-    out = sample_bilinear(grid16, img, far)
+    out = pull(grid16, img, far)
     np.testing.assert_array_equal(out, 0.0)
 
 
@@ -107,8 +111,9 @@ def _at_fractional_index(grid, fx, fy):
 
 
 def _query_points(grid, case, rng):
+    """Query points, one per pixel, at the given kind of fractional index."""
     nx, ny = grid.nx, grid.ny
-    shape = (64, 48)
+    shape = grid.shape
     if case == "in_range":
         fx, fy = rng.uniform(0, nx - 1, shape), rng.uniform(0, ny - 1, shape)
     elif case == "edges":
@@ -124,6 +129,7 @@ def _query_points(grid, case, rng):
             np.array([-1.5, -1.0, -0.5, 0.0, 0.5, nx - 1.0, nx - 0.5, nx, nx + 0.5]),
             np.array([-1.5, -1.0, -0.5, 0.0, 0.5, ny - 1.0, ny - 0.5, ny, ny + 0.5]),
         )
+        fx, fy = np.resize(fx, shape), np.resize(fy, shape)  # the 81 pairs, repeated
     elif case == "far_outside":
         fx = rng.uniform(-1e6, 1e6, shape)
         fy = rng.uniform(-1e6, 1e6, shape)
@@ -131,6 +137,13 @@ def _query_points(grid, case, rng):
     else:
         raise ValueError(case)
     return _at_fractional_index(grid, fx, fy)
+
+
+def _displacement_to(grid, xq, yq):
+    """A displacement whose feet are (xq, yq), and those feet as computed."""
+    X, Y = grid.meshgrid()
+    disp = np.stack((xq - X, yq - Y))
+    return disp, X + disp[0], Y + disp[1]
 
 
 @pytest.mark.parametrize("border", ["finite", "non_finite"])
@@ -143,9 +156,9 @@ def test_interp_matches_masked_reference(grid, case, border):
         # off-grid points must not pick these up, not even with weight 0
         values[0, :], values[-1, :] = np.nan, np.inf
         values[:, 0], values[:, -1] = -np.inf, np.nan
-    xq, yq = _query_points(grid, case, rng)
+    disp, xq, yq = _displacement_to(grid, *_query_points(grid, case, rng))
     with np.errstate(invalid="ignore"):  # 0 * inf next to a non-finite border
-        out = interp_values(grid, values, xq, yq)
+        out = pull(grid, values, disp)
         ref = masked_interp_reference(grid, values, xq, yq)
     np.testing.assert_array_equal(out, ref)  # NaN == NaN here
     if case == "exact_indices":
@@ -158,10 +171,13 @@ def test_interp_non_finite_coordinates_sample_zero(grid):
     values = np.random.default_rng(22).standard_normal(grid.shape)
     bad = np.array([np.nan, np.inf, -np.inf])
     xq, yq = np.meshgrid(np.concatenate([bad, [0.0]]), np.concatenate([bad, [0.0]]))
+    xq, yq = np.resize(xq, grid.shape), np.resize(yq, grid.shape)
+    disp, xq, yq = _displacement_to(grid, xq, yq)
     finite = np.isfinite(xq) & np.isfinite(yq)
+    assert finite.any() and not finite.all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = interp_values(grid, values, xq, yq)
+        out = pull(grid, values, disp)
     np.testing.assert_array_equal(out[~finite], 0.0)
     np.testing.assert_array_equal(
         out[finite], masked_interp_reference(grid, values, xq[finite], yq[finite])
@@ -174,12 +190,12 @@ def test_cached_centers_ignore_meshgrid_mutation(grid16):
     X, Y = grid16.meshgrid()  # before the first pull fills the cache
     X0 = X.copy()
     X += 3.0
-    np.testing.assert_array_equal(sample_bilinear(grid16, img, identity), img)
+    np.testing.assert_array_equal(pull(grid16, img, identity), img)
     X2, Y2 = grid16.meshgrid()  # after
     assert not np.shares_memory(X, X2)
     X2 += 3.0
     Y2[:] = 0.0
-    np.testing.assert_array_equal(sample_bilinear(grid16, img, identity), img)
+    np.testing.assert_array_equal(pull(grid16, img, identity), img)
     X3, Y3 = grid16.meshgrid()
     np.testing.assert_array_equal(X3, X0)
     assert X3.flags.writeable and Y3.flags.writeable
@@ -188,9 +204,11 @@ def test_cached_centers_ignore_meshgrid_mutation(grid16):
 def test_sample_grid_mismatch(grid16, grid32):
     img = np.zeros(grid16.shape)
     with pytest.raises(GridMismatchError):
-        sample_bilinear(grid32, img, np.zeros((2,) + grid32.shape))
+        pull(grid32, img, np.zeros((2,) + grid32.shape))
     with pytest.raises(GridMismatchError):
-        sample_bilinear(grid16, img, np.zeros((2,) + grid32.shape))
+        characteristics(grid16, np.zeros((2,) + grid32.shape))
+    with pytest.raises(GridMismatchError):  # feet built on another grid
+        sample_bilinear(grid16, img, characteristics(grid32, np.zeros((2,) + grid32.shape)))
 
 
 def test_gradient_constant_is_zero(grid16):
@@ -231,6 +249,46 @@ def test_divergence_free_field_second_order():
     div = divergence(g, np.stack((np.sin(Y), np.cos(X))))
     # analytic divergence is identically zero; discrete error is O(h^2)
     assert np.abs(div[1:-1, 1:-1]).max() <= g.hx**2
+
+
+DIFFERENCE_GRIDS = [
+    Grid2D(2, 3),  # 2 pixels along x (no interior), 3 along y (one)
+    Grid2D(3, 2, -1.0, 2.0, 0.0, 5.0),
+    Grid2D(32, 32),
+    Grid2D(40, 27, -10.0, 10.0, -5.0, 8.0),  # hx = 0.5, hy = 13/27
+]
+DIFFERENCE_IDS = ["2x3", "3x2", "square", "non_square"]
+
+
+def _difference_input(grid, values):
+    f = np.random.default_rng(24).standard_normal(grid.shape)
+    if values == "non_finite":
+        f.flat[:: 7] = np.nan
+        f.flat[3:: 11] = np.inf
+        f.flat[5:: 13] = -np.inf
+    return f
+
+
+@pytest.mark.parametrize("values", ["finite", "non_finite"])
+@pytest.mark.parametrize("grid", DIFFERENCE_GRIDS, ids=DIFFERENCE_IDS)
+def test_gradient_matches_numpy_gradient(grid, values):
+    f = _difference_input(grid, values)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        ddy, ddx = np.gradient(f, grid.hy, grid.hx, edge_order=1)
+        out = gradient(grid, f)
+    assert out.shape == (2,) + grid.shape
+    assert np.array_equal(out, np.stack((ddx, ddy)), equal_nan=True)
+
+
+@pytest.mark.parametrize("values", ["finite", "non_finite"])
+@pytest.mark.parametrize("grid", DIFFERENCE_GRIDS, ids=DIFFERENCE_IDS)
+def test_divergence_matches_numpy_gradient(grid, values):
+    v = np.stack((_difference_input(grid, values), -2.0 * _difference_input(grid, values)[::-1]))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        ref = (np.gradient(v[0], grid.hx, axis=1, edge_order=1)
+               + np.gradient(v[1], grid.hy, axis=0, edge_order=1))
+        out = divergence(grid, v)
+    assert np.array_equal(out, ref, equal_nan=True)
 
 
 def test_integrate_constant():

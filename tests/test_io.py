@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -58,6 +59,32 @@ def test_isin_truncated_header(tmp_path, keep):
     write_isin(path, Sinogram.zeros(make_parallel_geometry(Grid2D(32, 32), 6, 48)))
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ValueError, match="truncated ISIN header"):
+        read_isin(path)
+
+
+U32_MAX = 2**32 - 1
+
+
+def _with_sizes(raw, a, b):
+    """The file with the two u32 sizes after magic and version replaced."""
+    return raw[:5] + struct.pack("<II", a, b) + raw[13:]
+
+
+@pytest.mark.parametrize("sizes", [(U32_MAX, U32_MAX), (4, 4)], ids=["u32_max", "one_row_more"])
+def test_igrd_oversized_header(tmp_path, sizes):
+    path = tmp_path / "img.igrd"
+    write_igrd(path, ScalarImage.zeros(Grid2D(4, 3)))
+    path.write_bytes(_with_sizes(path.read_bytes(), *sizes))
+    with pytest.raises(ValueError, match="truncated IGRD payload"):
+        read_igrd(path)
+
+
+@pytest.mark.parametrize("sizes", [(U32_MAX, U32_MAX), (6, 49)], ids=["u32_max", "one_detector_more"])
+def test_isin_oversized_header(tmp_path, sizes):
+    path = tmp_path / "data.isin"
+    write_isin(path, Sinogram.zeros(make_parallel_geometry(Grid2D(32, 32), 6, 48)))
+    path.write_bytes(_with_sizes(path.read_bytes(), *sizes))
+    with pytest.raises(ValueError, match="truncated ISIN payload"):
         read_isin(path)
 
 

@@ -144,6 +144,58 @@ def test_smooth_matches_rfft2_reference(grid, sigma, support, workers):
         np.testing.assert_array_equal(out[1], rfft2_reference(spec, vf[1]))
 
 
+def full_linear_reference(grid, sigma, comp):
+    """The full n + 2r linear convolution with the unclipped kernel, as one
+    rfft2/irfft2 pair (the transform size before the n + r rule)."""
+    radius = 4.0 * sigma
+    rx, ry = int(np.ceil(radius / grid.hx)), int(np.ceil(radius / grid.hy))
+    ox = np.arange(-rx, rx + 1) * grid.hx
+    oy = np.arange(-ry, ry + 1) * grid.hy
+    d2 = oy[:, None] ** 2 + ox[None, :] ** 2
+    kern = np.exp(-d2 / (2.0 * sigma * sigma))
+    kern[d2 > radius * radius] = 0.0
+    kern *= grid.cell_area
+    s = (scipy.fft.next_fast_len(grid.ny + 2 * ry), scipy.fft.next_fast_len(grid.nx + 2 * rx))
+    full = scipy.fft.irfft2(scipy.fft.rfft2(comp, s=s) * scipy.fft.rfft2(kern, s=s), s=s)
+    return full[ry:ry + grid.ny, rx:rx + grid.nx]
+
+
+@pytest.mark.parametrize(
+    "grid,sigma",
+    [
+        (Grid2D(64, 64), 6.0),
+        (Grid2D(128, 128), 2.0),
+        (Grid2D(40, 27, -10.0, 10.0, -5.0, 8.0), 1.5),
+    ],
+    ids=["64_sigma6", "128_sigma2", "non_square"],
+)
+def test_smooth_matches_full_linear_convolution(grid, sigma):
+    spec = make_kernel(grid, sigma)
+    vf = random_field(np.random.default_rng(13), grid)
+    out = smooth(spec, vf)
+    for got, comp in zip(out, vf):
+        ref = full_linear_reference(grid, sigma, comp)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_kernel_wider_than_grid_matches_brute_force():
+    grid = Grid2D(16, 16)
+    sigma = 10.0  # half-support 20 px > n - 1 = 15: clipped, and must not alias
+    spec = make_kernel(grid, sigma)
+    assert (spec.support_x, spec.support_y) == (15, 15)
+    vf = random_field(np.random.default_rng(14), grid)
+    ref_x, ref_y = brute_force_smooth(grid, sigma, spec, vf)
+    out = smooth(spec, vf)
+    assert np.linalg.norm(out[0] - ref_x) / np.linalg.norm(ref_x) <= 1e-10
+    assert np.linalg.norm(out[1] - ref_y) / np.linalg.norm(ref_y) <= 1e-10
+
+
+@pytest.mark.parametrize("n,sigma,size", [(64, 6.0, 112), (128, 2.0, 160), (256, 2.0, 320)])
+def test_fft_size_is_n_plus_half_support(n, sigma, size):
+    # 64^2 sigma 6 is the star64 kernel; n + 2r would give 160, 192 and 384
+    assert make_kernel(Grid2D(n, n), sigma).fft_shape == (size, size)
+
+
 def test_smooth_grid_mismatch(grid16, grid32):
     spec = make_kernel(grid16, 2.0)
     with pytest.raises(GridMismatchError):

@@ -133,6 +133,32 @@ def test_numerical_failure_reports_partial_history(problem32):
     assert res.stop_detail.startswith(f"iteration {res.iterations_run}:")
 
 
+def test_non_finite_geometric_jacobian_stops_at_that_iteration(problem32, monkeypatch):
+    import tomoflow.flow as flow
+
+    grid, geom, template, _, data = problem32
+    cfg = small_cfg(max_iters=10)  # n_steps = 5: steps i = 4..0 per evaluation
+    clean = register(template, data, geom, small_cfg(max_iters=1))
+    real, calls = flow.jacobian_step, [0]
+
+    def failing(*args):
+        calls[0] += 1
+        out = real(*args)
+        if calls[0] == 2 * cfg.n_steps + 3:  # the third evaluation's step i = 2
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(flow, "jacobian_step", failing)
+    res = register(template, data, geom, cfg)
+    assert res.stop_reason is StopReason.NUMERICAL_FAILURE
+    assert res.stop_detail == "iteration 2: Jacobian determinant became non-finite at time index 2"
+    assert res.iterations_run == 2
+    assert res.objective_history == clean.objective_history
+    np.testing.assert_array_equal(res.final_velocity, clean.final_velocity)
+    np.testing.assert_array_equal(np.asarray([f.values for f in res.trajectory]),
+                                  np.asarray([f.values for f in clean.trajectory]))
+
+
 def test_progress_callback_sees_every_iteration(problem32):
     grid, geom, template, _, data = problem32
     rows = []

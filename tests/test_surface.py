@@ -1,18 +1,35 @@
-"""The benchmark drives tomoflow by name: keep those names resolvable.
+"""The benchmark drives tomoflow by name: keep those names resolvable,
+and keep the calls per objective evaluation that it pins.
 
-``perfbench/worker.py`` calls the library as ``tf.X`` and
+``perfbench/worker.py`` calls the library as ``tf.X``,
 ``perfbench/tracer.py`` times the ``(module, function)`` pairs in
-``TRACED``. Both files are only read here, never imported.
+``TRACED`` and ``perfbench/test_perfbench.py`` pins their calls per
+evaluation in ``EXPECTED_PER_EVAL``. These files are only read here,
+never imported.
 """
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
+import pytest
+
 import tomoflow
+from conftest import gaussian_blob
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_constant(filename, name):
+    """The literal assigned to ``name`` at the top level of a perfbench file."""
+    tree = ast.parse((PERFBENCH / filename).read_text())
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets)
+    )
 
 
 def test_worker_names_are_exported():
@@ -22,15 +39,47 @@ def test_worker_names_are_exported():
 
 
 def test_traced_pairs_resolve_to_callables():
-    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
-    traced = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
-    )
+    traced = perfbench_constant("tracer.py", "TRACED")
     assert traced
     missing = [
         f"{mod}.{fn}" for mod, fn in traced
         if not callable(getattr(importlib.import_module(f"tomoflow.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+def count_calls(monkeypatch, keys):
+    """Count the calls of each ``module.function`` in keys, wrapping it under
+    every name bound to it in every loaded tomoflow module, as the tracer does."""
+    counts = dict.fromkeys(keys, 0)
+    for key in keys:
+        mod_name, fn_name = key.split(".")
+        original = getattr(importlib.import_module(f"tomoflow.{mod_name}"), fn_name)
+
+        def counted(*args, _key=key, _fn=original, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        loaded = [m for name, m in list(sys.modules.items())
+                  if name == "tomoflow" or name.startswith("tomoflow.")]
+        for module in loaded:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("action", list(tomoflow.GroupAction))
+def test_calls_per_evaluation_match_the_benchmark_pins(action, monkeypatch):
+    expected = perfbench_constant("test_perfbench.py", "EXPECTED_PER_EVAL")
+    grid = tomoflow.Grid2D(16, 16)
+    geom = tomoflow.make_parallel_geometry(grid, 4, 24)
+    template = gaussian_blob(grid, cx=-2.0, width=3.0)
+    data = tomoflow.ray_transform(gaussian_blob(grid, cx=2.0, width=3.0), geom)
+    cfg = tomoflow.RegistrationConfig(gamma=1e-7, sigma=2.0, alpha=0.02, n_steps=20, max_iters=2,
+                                      action=action)
+    counts = count_calls(monkeypatch, list(expected))
+    tomoflow.register(template, data, geom, cfg)
+    evals = counts["objective.evaluate_objective"]
+    assert evals == cfg.max_iters + 1
+    assert {key: n / evals for key, n in counts.items()} == expected
