@@ -16,8 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-import scipy.fft
-
 from . import __version__
 from .action import GroupAction
 from .experiments import SUITE_IDS, SuiteCase, run_case, run_suite
@@ -213,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Indirect diffeomorphic image registration for 2D parallel-beam tomography",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--threads", type=int, default=1, help="FFT worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="rasterize a phantom to IGRD")
@@ -278,8 +275,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with scipy.fft.set_workers(max(1, args.threads)):
-            return args.fn(args)
+        return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

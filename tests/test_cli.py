@@ -112,8 +112,11 @@ def test_register_and_suite_take_their_own_flags():
         ["register", "--config", "run.ini", "--out", "d", "--seed", "5", "--log-csv", "log.csv"]
     )
     assert (args.out, args.seed, args.log_csv) == ("d", 5, "log.csv")
-    args = build_parser().parse_args(["--threads", "2", "suite", "--id", "1", "--out", "d"])
-    assert (args.threads, args.id, args.out) == (2, 1, "d")
+    args = build_parser().parse_args(["suite", "--id", "1", "--out", "d"])
+    assert (args.id, args.out) == (1, "d")
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "suite", "--id", "1", "--out", "d"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_register_bad_config_exit_code(tmp_path):

@@ -81,23 +81,23 @@ def fingerprint(a):
     return [float(np.sum(a)), float(np.sum(a * a)), float(np.sum(w * a))]
 
 
-# Recorded with the earlier per-frame field classes (velocity stacked as
-# [[f.vx, f.vy] for f in fields]). The array form does each element's
-# arithmetic in the same order, so any drift here is a changed answer.
+# Recorded with the kernel smoothing done by the two Gram factors of the
+# untruncated Gaussian. Reruns are bit-identical, so any drift is a
+# changed answer.
 ANCHOR = {
     GroupAction.GEOMETRIC: dict(
-        final_E=17.086375151352495,
-        nu=[17114.460475920914, 64140.744590499846, 0.09529807950432612],
-        nu_points=[6.82062858341826, 1.6305363883079678, -0.14131227614715525],
-        last=[70.13476879798861, 34.742326943639, 1.162651195833459],
-        last_points=[0.6411277513820273, 0.2377267280469909],
+        final_E=17.08634455406912,
+        nu=[17117.41627241949, 64143.84906477495, 0.13307332882869616],
+        nu_points=[6.820500769815515, 1.6305721674233151, -0.14134719110994332],
+        last=[70.13409126821804, 34.741674317151556, 1.1624007689806455],
+        last_points=[0.6411379944715961, 0.2377188975052654],
     ),
     GroupAction.MASS_PRESERVING: dict(
-        final_E=35.704542979862254,
-        nu=[12708.349860057642, 46452.307315810234, -0.05618083159750492],
-        nu_points=[8.697401931158389, 2.1095010790769777, 2.2336212016485963],
-        last=[96.71573732237475, 43.03561813394257, 0.7561942545747035],
-        last_points=[0.7136449497916723, 0.2948752935393327],
+        final_E=35.70571331637101,
+        nu=[12710.97649362628, 46452.99188721965, -0.10637354364587698],
+        nu_points=[8.69740676048108, 2.109520135069148, 2.2336248262869014],
+        last=[96.71451376561942, 43.03548062781703, 0.7560507428272216],
+        last_points=[0.7136460520115518, 0.29487539386615275],
     ),
 }
 
