@@ -181,7 +181,7 @@ def cmd_register(args) -> int:
     case, config_out = _parse_config(args.config)
     if args.seed is not None:
         case = dataclasses.replace(case, noise_seed=args.seed)
-    res = run_case(case, Path(args.out or config_out), log_csv=args.log_csv)
+    res = run_case(case, Path(args.out or config_out))
     if res.registration.stop_reason is StopReason.NUMERICAL_FAILURE:
         print(f"register: stopped on numerical failure ({res.registration.stop_detail}); "
               "last finite iterate written", file=sys.stderr)
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory (default: [output] dir)")
     p.add_argument("--seed", type=int, default=None, help="noise seed override")
-    p.add_argument("--log-csv", default=None, help="also write the objective log to this CSV")
     p.set_defaults(fn=cmd_register)
 
     p = sub.add_parser("fbp", help="filtered back projection of an ISIN sinogram")

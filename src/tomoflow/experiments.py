@@ -165,16 +165,9 @@ def prepare_case(case: SuiteCase):
     return template, target, geom, clean, data
 
 
-def run_case(case: SuiteCase, out_dir: Path | None = None, log_csv=None) -> CaseResult:
+def run_case(case: SuiteCase, out_dir: Path) -> CaseResult:
     template, target, geom, clean, data = prepare_case(case)
-
-    progress = None
-    log_rows = []
-    if log_csv is not None or out_dir is not None:
-        def progress(k, value, grad_norm):
-            log_rows.append((k, value.total, value.penalty, value.discrepancy, grad_norm))
-
-    result = register(template, data, geom, case.cfg, progress=progress)
+    result = register(template, data, geom, case.cfg)
     final = result.trajectory[-1]
     out = CaseResult(
         case=case,
@@ -185,32 +178,25 @@ def run_case(case: SuiteCase, out_dir: Path | None = None, log_csv=None) -> Case
         ssim_final=ssim(final, target),
         psnr_final=psnr(final, target),
     )
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_case_outputs(out, clean, log_rows, out_dir)
-    if log_csv is not None:
-        _write_objective_csv(Path(log_csv), log_rows)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_case_outputs(out, clean, out_dir)
     return out
 
 
-def _write_objective_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "total", "penalty", "discrepancy", "grad_norm"])
-        writer.writerows(rows)
-
-
-def _write_case_outputs(res: CaseResult, clean, log_rows, out_dir: Path) -> None:
+def _write_case_outputs(res: CaseResult, clean, out_dir: Path) -> None:
     case = res.case
+    reg = res.registration
     write_igrd(out_dir / "template.igrd", res.template)
     write_igrd(out_dir / "target.igrd", res.target)
     write_isin(out_dir / "data.isin", res.data)
-    for i, img in enumerate(res.registration.trajectory):
+    for i, img in enumerate(reg.trajectory):
         write_igrd(out_dir / f"trajectory_{i:03d}.igrd", img)
         write_pgm16(out_dir / f"trajectory_{i:03d}.pgm", img)
-    _write_objective_csv(out_dir / "objective.csv", log_rows)
+    with open(out_dir / "objective.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "total", "penalty", "discrepancy", "grad_norm"])
+        for k, (value, grad_norm) in enumerate(zip(reg.objective_history, reg.grad_norms)):
+            writer.writerow([k, value.total, value.penalty, value.discrepancy, grad_norm])
     snr = measure_snr(clean, res.data) if math.isfinite(case.snr_db) else math.inf  # noise-free
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -221,8 +207,8 @@ def _write_case_outputs(res: CaseResult, clean, log_rows, out_dir: Path) -> None
                 f"{res.ssim_final:.6f}",
                 f"{res.psnr_final:.4f}",
                 f"{snr:.4f}",
-                res.registration.iterations_run,
-                res.registration.stop_reason.value,
+                reg.iterations_run,
+                reg.stop_reason.value,
             ]
         )
     if case.fbp_freq_scaling is not None:

@@ -16,18 +16,20 @@ Conventions shared by the whole package:
   formula ((f[2:] - f[:-2]) / (2h) inside, (f[1] - f[0]) / h and
   (f[-1] - f[-2]) / h on the edges), so they are bit-identical to it.
 
-A pull is split in two: ``characteristics`` turns a displacement into
-the corner indices and bilinear weights of its feet, and
-``sample_bilinear`` gathers an image through them, so several images
-pulled along one displacement share that work. ``characteristics``,
-``sample_bilinear``, ``gradient`` and ``divergence`` each return freshly
-allocated arrays.
+This module alone holds the bilinear rule: the pixel-centre convention,
+the clamp of a fractional pixel index to [-2, n], the corner order and
+weights, and the two-pixel zero padding. ``characteristics`` applies it
+to the feet x + disp(x) of the pixel centres, in index coordinates
+(``i + disp / h``), and ``sample_bilinear`` gathers images through the
+result, so several images pulled along one displacement share that
+work. ``bilinear_stencil`` applies it to points in physical coordinates
+for the ray transform's system matrix. These, ``gradient`` and
+``divergence`` each return freshly allocated arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,14 +82,6 @@ class Grid2D:
         """Pixel-center coordinates as two fresh (ny, nx) arrays (X, Y)."""
         return np.meshgrid(self.x_centers(), self.y_centers())
 
-    @cached_property
-    def _centers(self) -> tuple[np.ndarray, np.ndarray]:
-        # read-only, so a caller can never change what later pulls see
-        X, Y = self.meshgrid()
-        X.flags.writeable = False
-        Y.flags.writeable = False
-        return X, Y
-
 
 @dataclass
 class ScalarImage:
@@ -110,52 +104,42 @@ class ScalarImage:
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-def _fractional_index(q: np.ndarray, lo: float, h: float, n: int) -> np.ndarray:
-    """(q - lo) / h - 0.5 clamped to [-2, n], in place; NaN maps to -2."""
-    q -= lo
-    q /= h
-    q -= 0.5
-    np.fmax(q, -2.0, out=q)
-    np.fmin(q, n, out=q)
-    return q
-
-
 class Characteristic(NamedTuple):
-    """The feet x + disp(x) of every pixel centre, ready for bilinear pulls.
+    """Corner indices and bilinear weights of a set of points, such as the
+    feet x + disp(x) of every pixel centre.
 
-    ``corner`` holds the flat index of each foot's (0, 0) corner in an
+    ``corner`` holds the flat index of each point's (0, 0) corner in an
     image zero-padded by two pixels on each side (width nx + 4); corners
     (0, 1), (1, 0) and (1, 1) lie 1, nx + 4 and nx + 5 entries further
     on. ``weights`` holds the four bilinear weights in that corner order,
-    (sx*sy, tx*sy, sx*ty, tx*ty), as a (4, ny, nx) array.
+    (sx*sy, tx*sy, sx*ty, tx*ty), as a (4,) + corner.shape array.
     """
 
     corner: np.ndarray
     weights: np.ndarray
 
 
-def characteristics(grid: Grid2D, disp: np.ndarray) -> Characteristic:
-    """Clamped corner indices and bilinear weights of the feet x + disp(x).
+def _corner_steps(nx: int) -> tuple[int, int, int, int]:
+    """Offsets of the four corners from corner (0, 0) in the padded layout."""
+    return (0, 1, nx + 4, nx + 5)
 
-    ``disp`` is a (2, ny, nx) displacement, component 0 along x. The
-    fractional pixel index of each foot is clamped to [-2, n]. A clamped
-    foot (anything a pixel or more outside the extent, and every NaN or
-    infinite coordinate) then has all four corners on the padding, so it
-    samples 0 whatever the image holds.
+
+def _bilinear_rule(tx: np.ndarray, ty: np.ndarray, nx: int, ny: int) -> Characteristic:
+    """The characteristic of points at fractional pixel indices (tx, ty),
+    which are overwritten. A point clamped to [-2, n] (a pixel or more
+    outside the extent, or NaN or infinite) has all corners on the padding.
     """
-    if disp.shape != (2,) + grid.shape:
-        raise GridMismatchError(f"displacement {disp.shape} is not on grid {grid.shape}")
-    nx, ny = grid.nx, grid.ny
-    X, Y = grid._centers
-    tx = _fractional_index(X + disp[0], grid.x_min, grid.hx, nx)
-    ty = _fractional_index(Y + disp[1], grid.y_min, grid.hy, ny)
+    np.fmax(tx, -2.0, out=tx)  # fmax maps NaN to -2
+    np.fmin(tx, nx, out=tx)
+    np.fmax(ty, -2.0, out=ty)
+    np.fmin(ty, ny, out=ty)
     x0 = np.floor(tx)
     y0 = np.floor(ty)
     tx -= x0
     ty -= y0
     sx = 1.0 - tx
     sy = 1.0 - ty
-    weights = np.empty((4, ny, nx))
+    weights = np.empty((4,) + tx.shape)
     np.multiply(sx, sy, out=weights[0])
     np.multiply(tx, sy, out=weights[1])
     np.multiply(sx, ty, out=weights[2])
@@ -168,6 +152,45 @@ def characteristics(grid: Grid2D, disp: np.ndarray) -> Characteristic:
     corner = y0.astype(np.intp)
     corner += 2 * w + 2
     return Characteristic(corner, weights)
+
+
+def characteristics(grid: Grid2D, disp: np.ndarray) -> Characteristic:
+    """Corner indices and bilinear weights of the feet x + disp(x).
+
+    ``disp`` is a (2, ny, nx) displacement, component 0 along x. The foot
+    of pixel (j, i) sits at fractional index (i + disp[0] / hx,
+    j + disp[1] / hy).
+    """
+    if disp.shape != (2,) + grid.shape:
+        raise GridMismatchError(f"displacement {disp.shape} is not on grid {grid.shape}")
+    tx = disp[0] / grid.hx
+    tx += np.arange(grid.nx)
+    ty = disp[1] / grid.hy
+    ty += np.arange(grid.ny)[:, None]
+    return _bilinear_rule(tx, ty, grid.nx, grid.ny)
+
+
+def bilinear_stencil(grid: Grid2D, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner pixels and weights of the bilinear rule at the points (x, y).
+
+    ``x`` and ``y`` are physical coordinates, float64 arrays of one
+    shape; they are overwritten. Returns ``(pixels, weights)``, both
+    (4,) + x.shape in the corner order of ``Characteristic``. ``pixels``
+    holds int32 flat indices ``iy * nx + ix``, and -1 for a corner off
+    the grid.
+    """
+    for q, lo, h in ((x, grid.x_min, grid.hx), (y, grid.y_min, grid.hy)):
+        q -= lo
+        q /= h
+        q -= 0.5
+    nx, ny = grid.nx, grid.ny
+    corner, weights = _bilinear_rule(x, y, nx, ny)
+    pixel = np.full((ny + 4, nx + 4), -1, dtype=np.int32)  # the padded layout, -1 on the padding
+    pixel[2:ny + 2, 2:nx + 2] = np.arange(nx * ny, dtype=np.int32).reshape(grid.shape)
+    pixels = np.empty((4,) + corner.shape, dtype=np.int32)
+    for k, step in enumerate(_corner_steps(nx)):
+        pixel.ravel()[step:].take(corner, out=pixels[k])
+    return pixels, weights
 
 
 def sample_bilinear(grid: Grid2D, f: np.ndarray, feet: Characteristic) -> np.ndarray:
@@ -183,14 +206,13 @@ def sample_bilinear(grid: Grid2D, f: np.ndarray, feet: Characteristic) -> np.nda
     if f.shape != grid.shape or corner.shape != grid.shape:
         raise GridMismatchError(f"image {f.shape} or feet {corner.shape} are not on grid {grid.shape}")
     nx, ny = grid.nx, grid.ny
-    w = nx + 4
-    padded = np.zeros((ny + 4, w))
+    padded = np.zeros((ny + 4, nx + 4))
     padded[2:ny + 2, 2:nx + 2] = f
     flat = padded.ravel()
     out = flat.take(corner)
     out *= weights[0]
     term = np.empty(grid.shape)
-    for k, step in ((1, 1), (2, w), (3, w + 1)):
+    for k, step in enumerate(_corner_steps(nx)[1:], start=1):
         # "clip" lets take write into term unbuffered; every index is in range
         flat[step:].take(corner, out=term, mode="clip")
         term *= weights[k]

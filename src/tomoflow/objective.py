@@ -63,12 +63,7 @@ def data_term(f: ScalarImage, g: Sinogram) -> tuple[float, ScalarImage]:
 
 def velocity_norm_sq(grid: Grid2D, nu: np.ndarray) -> float:
     """Squared discrete velocity norm: trapezoid in time, L2 in space."""
-    w = time_weights(len(nu) - 1)
-    area = grid.cell_area
-    total = 0.0
-    for wi, v in zip(w, nu):
-        total += wi * area * float(np.sum(v[0] * v[0] + v[1] * v[1]))
-    return total
+    return float(grid.cell_area * (time_weights(len(nu) - 1) @ np.einsum("tcij,tcij->t", nu, nu)))
 
 
 def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:

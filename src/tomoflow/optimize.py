@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -74,20 +73,20 @@ class RegistrationResult:
     views into that iterate's transported-template array.
 
     ``final_velocity`` is the last finite iterate as an
-    ``(N+1, 2, ny, nx)`` array. ``stop_detail`` is empty unless the stop
-    reason is ``NUMERICAL_FAILURE``; then it says at which iteration
-    what failed.
+    ``(N+1, 2, ny, nx)`` array. ``grad_norms[k]`` is the velocity norm of
+    the gradient at the iterate of ``objective_history[k]``; the last one
+    is not finite when that stopped the run. ``stop_detail`` is empty
+    unless the stop reason is ``NUMERICAL_FAILURE``; then it says at
+    which iteration what failed.
     """
 
     final_velocity: np.ndarray
     trajectory: list[ScalarImage]
     objective_history: list[ObjectiveValue] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)
     iterations_run: int = 0
     stop_reason: StopReason = StopReason.MAX_ITERS
     stop_detail: str = ""
-
-
-ProgressFn = Callable[[int, ObjectiveValue, float], None]
 
 
 def register(
@@ -95,7 +94,6 @@ def register(
     data: Sinogram,
     geom: SinogramGeometry,
     cfg: RegistrationConfig,
-    progress: ProgressFn | None = None,
 ) -> RegistrationResult:
     """Minimize E by fixed-step gradient descent from a zero velocity field.
 
@@ -112,6 +110,7 @@ def register(
     nu = np.zeros((cfg.n_steps + 1, 2) + grid.shape)
 
     history: list[ObjectiveValue] = []
+    grad_norms: list[float] = []
     last_nu = nu
     # until an evaluation succeeds, the identity flow: every sample is the template
     last_transported = np.broadcast_to(template.values, (cfg.n_steps + 1,) + grid.shape)
@@ -119,7 +118,7 @@ def register(
 
     def stop(reason: StopReason, detail: str = "") -> RegistrationResult:
         trajectory = [ScalarImage(grid, f) for f in last_transported]
-        return RegistrationResult(last_nu, trajectory, history, iterations, reason, detail)
+        return RegistrationResult(last_nu, trajectory, history, grad_norms, iterations, reason, detail)
 
     for k in range(cfg.max_iters + 1):
         try:
@@ -142,8 +141,7 @@ def register(
 
         grad = objective_gradient(nu, chain, kern, cfg.gamma)
         grad_norm = math.sqrt(velocity_norm_sq(grid, grad))
-        if progress is not None:
-            progress(k, value, grad_norm)
+        grad_norms.append(grad_norm)
 
         if not math.isfinite(grad_norm):
             return stop(StopReason.NUMERICAL_FAILURE, f"iteration {k}: gradient norm not finite")

@@ -1,10 +1,10 @@
 """2D parallel-beam ray transform, its exact discrete adjoint, and FBP.
 
-The forward projector samples each line at uniform steps with bilinear
-interpolation and sums times the step length. Forward and adjoint are
-realized through one sparse system matrix per (grid, geometry) pair, so
-the back projection is the exact matrix transpose of the forward map:
-the adjoint identity holds to rounding by construction.
+The forward projector samples each line at uniform steps with the
+bilinear rule of ``grid`` and sums times the step length. Forward and
+adjoint are realized through one sparse system matrix per (grid,
+geometry) pair, so the back projection is the exact matrix transpose of
+the forward map: the adjoint identity holds to rounding by construction.
 
 Inner products carry quadrature weights: hx*hy on images and
 hs*(pi/n_angles) on sinograms, approximating the continuum pairing over
@@ -13,6 +13,7 @@ lines with directions in [0, 180) degrees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,9 +21,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .grid import Grid2D, ScalarImage
-
-_BOUNDARY_PAD_PIXELS = 1.0
+from .grid import Grid2D, ScalarImage, bilinear_stencil
 
 
 @dataclass(frozen=True)
@@ -93,58 +92,34 @@ def make_parallel_geometry(grid: Grid2D, n_angles: int, n_detectors: int) -> Sin
     )
 
 
-_matrix_cache: dict[tuple[Grid2D, SinogramGeometry], scipy.sparse.csr_matrix] = {}
-
-
+@functools.cache
 def _system_matrix(grid: Grid2D, geom: SinogramGeometry) -> scipy.sparse.csr_matrix:
-    key = (grid, geom)
-    cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
-
     ds = geom.ray_step
     half = 0.5 * math.hypot(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
-    t_half = half + _BOUNDARY_PAD_PIXELS * max(grid.hx, grid.hy)
+    t_half = half + max(grid.hx, grid.hy)  # one pixel past the grid's half diagonal
     n_t = int(math.ceil(2.0 * t_half / ds))
     t = -t_half + (np.arange(n_t) + 0.5) * ds
     s = geom.detector_centers()
 
     rows_all, cols_all, data_all = [], [], []
-    nx, ny = grid.nx, grid.ny
     for k, theta in enumerate(geom.angles_rad()):
         c, sn = math.cos(theta), math.sin(theta)
         # line points s*omega + t*omega_perp, omega = (cos, sin)
         x = s[:, None] * c - t[None, :] * sn
         y = s[:, None] * sn + t[None, :] * c
-        fx = (x - grid.x_min) / grid.hx - 0.5
-        fy = (y - grid.y_min) / grid.hy - 0.5
-        ix = np.floor(fx).astype(np.int64)
-        iy = np.floor(fy).astype(np.int64)
-        tx = fx - ix
-        ty = fy - iy
-        ray = np.broadcast_to(
-            np.arange(k * geom.n_detectors, (k + 1) * geom.n_detectors, dtype=np.int32)[:, None],
-            x.shape,
-        )
-        for dy_ in (0, 1):
-            wy = ty if dy_ else 1.0 - ty
-            jy = iy + dy_
-            for dx_ in (0, 1):
-                wx = tx if dx_ else 1.0 - tx
-                jx = ix + dx_
-                m = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
-                w = (wx * wy)[m] * ds
-                keep = w != 0.0
-                rows_all.append(ray[m][keep])
-                cols_all.append((jy[m][keep] * nx + jx[m][keep]).astype(np.int32))
-                data_all.append(w[keep])
+        pixels, weights = bilinear_stencil(grid, x, y)
+        weights *= ds
+        ray = np.arange(k * geom.n_detectors, (k + 1) * geom.n_detectors, dtype=np.int32)[:, None]
+        for corner_pixels, corner_weights in zip(pixels, weights):
+            keep = (corner_pixels >= 0) & (corner_weights != 0.0)
+            rows_all.append(np.broadcast_to(ray, keep.shape)[keep])
+            cols_all.append(corner_pixels[keep])
+            data_all.append(corner_weights[keep])
 
-    mat = scipy.sparse.coo_matrix(
+    return scipy.sparse.coo_matrix(
         (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(geom.n_angles * geom.n_detectors, ny * nx),
+        shape=(geom.n_angles * geom.n_detectors, grid.ny * grid.nx),
     ).tocsr()
-    _matrix_cache[key] = mat
-    return mat
 
 
 def ray_transform(img: ScalarImage, geom: SinogramGeometry) -> Sinogram:

@@ -108,10 +108,11 @@ def test_register_without_noise_section(tmp_path):
 
 
 def test_register_and_suite_take_their_own_flags():
-    args = build_parser().parse_args(
-        ["register", "--config", "run.ini", "--out", "d", "--seed", "5", "--log-csv", "log.csv"]
-    )
-    assert (args.out, args.seed, args.log_csv) == ("d", 5, "log.csv")
+    args = build_parser().parse_args(["register", "--config", "run.ini", "--out", "d", "--seed", "5"])
+    assert (args.out, args.seed) == ("d", 5)
+    with pytest.raises(SystemExit) as exc:
+        main(["register", "--config", "run.ini", "--log-csv", "log.csv"])
+    assert exc.value.code == EXIT_USAGE
     args = build_parser().parse_args(["suite", "--id", "1", "--out", "d"])
     assert (args.id, args.out) == (1, "d")
     with pytest.raises(SystemExit) as exc:

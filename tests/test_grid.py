@@ -73,13 +73,12 @@ def test_zero_extension_far_outside(grid16):
     np.testing.assert_array_equal(out, 0.0)
 
 
-def masked_interp_reference(grid, values, xq, yq):
-    """Masked bilinear gather: off-grid corners are masked out one by one.
+def masked_interp_reference(grid, values, fx, fy):
+    """Masked bilinear gather at fractional pixel indices (fx, fy): off-grid
+    corners are masked out one by one.
 
-    Undefined (and warns) for non-finite coordinates.
+    Undefined (and warns) for non-finite indices.
     """
-    fx = (xq - grid.x_min) / grid.hx - 0.5
-    fy = (yq - grid.y_min) / grid.hy - 0.5
     ix = np.floor(fx).astype(np.intp)
     iy = np.floor(fy).astype(np.intp)
     tx = fx - ix
@@ -87,7 +86,7 @@ def masked_interp_reference(grid, values, xq, yq):
 
     nx, ny = grid.nx, grid.ny
     flat = values.ravel()
-    out = np.zeros(np.broadcast(xq, yq).shape, dtype=np.float64)
+    out = np.zeros(np.broadcast(fx, fy).shape, dtype=np.float64)
     for dy_ in (0, 1):
         wy = ty if dy_ else 1.0 - ty
         jy = iy + dy_
@@ -104,14 +103,12 @@ def masked_interp_reference(grid, values, xq, yq):
 
 # hx = 0.5, hy = 0.25 and dyadic extents: fractional indices are exact
 NON_SQUARE = Grid2D(40, 24, -10.0, 10.0, -3.0, 3.0)
-
-
-def _at_fractional_index(grid, fx, fy):
-    return grid.x_min + (fx + 0.5) * grid.hx, grid.y_min + (fy + 0.5) * grid.hy
+# hx = 0.2, hy = 4/27: neither spacing is a power of two
+NON_DYADIC = Grid2D(40, 27, -3.0, 5.0, -1.7, 2.3)
 
 
 def _query_points(grid, case, rng):
-    """Query points, one per pixel, at the given kind of fractional index."""
+    """Fractional pixel indices, one pair per pixel, of the given kind."""
     nx, ny = grid.nx, grid.ny
     shape = grid.shape
     if case == "in_range":
@@ -136,14 +133,19 @@ def _query_points(grid, case, rng):
         fx[::2] = rng.uniform(0, nx - 1, (shape[0] // 2, shape[1]))
     else:
         raise ValueError(case)
-    return _at_fractional_index(grid, fx, fy)
+    return fx, fy
 
 
-def _displacement_to(grid, xq, yq):
-    """A displacement whose feet are (xq, yq), and those feet as computed."""
-    X, Y = grid.meshgrid()
-    disp = np.stack((xq - X, yq - Y))
-    return disp, X + disp[0], Y + disp[1]
+def _computed_index(grid, disp):
+    """The fractional pixel indices i + disp / h of the feet, as computed."""
+    return disp[0] / grid.hx + np.arange(grid.nx), disp[1] / grid.hy + np.arange(grid.ny)[:, None]
+
+
+def _displacement_to(grid, fx, fy):
+    """A displacement whose feet are at fractional indices (fx, fy), and
+    those indices as computed."""
+    disp = np.stack(((fx - np.arange(grid.nx)) * grid.hx, (fy - np.arange(grid.ny)[:, None]) * grid.hy))
+    return (disp,) + _computed_index(grid, disp)
 
 
 @pytest.mark.parametrize("border", ["finite", "non_finite"])
@@ -156,38 +158,48 @@ def test_interp_matches_masked_reference(grid, case, border):
         # off-grid points must not pick these up, not even with weight 0
         values[0, :], values[-1, :] = np.nan, np.inf
         values[:, 0], values[:, -1] = -np.inf, np.nan
-    disp, xq, yq = _displacement_to(grid, *_query_points(grid, case, rng))
+    disp, fx, fy = _displacement_to(grid, *_query_points(grid, case, rng))
     with np.errstate(invalid="ignore"):  # 0 * inf next to a non-finite border
         out = pull(grid, values, disp)
-        ref = masked_interp_reference(grid, values, xq, yq)
+        ref = masked_interp_reference(grid, values, fx, fy)
     np.testing.assert_array_equal(out, ref)  # NaN == NaN here
     if case == "exact_indices":
-        fx = (xq - grid.x_min) / grid.hx - 0.5
         assert set(np.unique(fx)) >= {-1.0, 0.0, grid.nx - 1.0, float(grid.nx)}
+
+
+def test_interp_matches_masked_reference_on_non_dyadic_grid():
+    grid = NON_DYADIC
+    rng = np.random.default_rng(25)
+    values = rng.standard_normal(grid.shape)
+    # up to three pixels each way: feet inside, across the edges and outside
+    disp = rng.uniform(-3.0, 3.0, (2,) + grid.shape) * np.array([grid.hx, grid.hy])[:, None, None]
+    fx, fy = _computed_index(grid, disp)
+    assert (fx < -1).any() and (fx > grid.nx).any() and (fy < -1).any() and (fy > grid.ny).any()
+    np.testing.assert_array_equal(pull(grid, values, disp), masked_interp_reference(grid, values, fx, fy))
 
 
 @pytest.mark.parametrize("grid", [Grid2D(32, 32), NON_SQUARE], ids=["square", "non_square"])
 def test_interp_non_finite_coordinates_sample_zero(grid):
     values = np.random.default_rng(22).standard_normal(grid.shape)
     bad = np.array([np.nan, np.inf, -np.inf])
-    xq, yq = np.meshgrid(np.concatenate([bad, [0.0]]), np.concatenate([bad, [0.0]]))
-    xq, yq = np.resize(xq, grid.shape), np.resize(yq, grid.shape)
-    disp, xq, yq = _displacement_to(grid, xq, yq)
-    finite = np.isfinite(xq) & np.isfinite(yq)
+    fx, fy = np.meshgrid(np.concatenate([bad, [0.0]]), np.concatenate([bad, [0.0]]))
+    fx, fy = np.resize(fx, grid.shape), np.resize(fy, grid.shape)
+    disp, fx, fy = _displacement_to(grid, fx, fy)
+    finite = np.isfinite(fx) & np.isfinite(fy)
     assert finite.any() and not finite.all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = pull(grid, values, disp)
     np.testing.assert_array_equal(out[~finite], 0.0)
     np.testing.assert_array_equal(
-        out[finite], masked_interp_reference(grid, values, xq[finite], yq[finite])
+        out[finite], masked_interp_reference(grid, values, fx[finite], fy[finite])
     )
 
 
-def test_cached_centers_ignore_meshgrid_mutation(grid16):
+def test_pulls_ignore_meshgrid_mutation(grid16):
     img = np.random.default_rng(23).standard_normal(grid16.shape)
     identity = np.zeros((2,) + grid16.shape)
-    X, Y = grid16.meshgrid()  # before the first pull fills the cache
+    X, Y = grid16.meshgrid()  # before the first pull
     X0 = X.copy()
     X += 3.0
     np.testing.assert_array_equal(pull(grid16, img, identity), img)

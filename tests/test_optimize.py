@@ -161,13 +161,9 @@ def test_non_finite_geometric_jacobian_stops_at_that_iteration(problem32, monkey
 
 def test_progress_callback_sees_every_iteration(problem32):
     grid, geom, template, _, data = problem32
-    rows = []
-    register(
-        template, data, geom, small_cfg(max_iters=3),
-        progress=lambda k, val, gn: rows.append((k, val.total, gn)),
-    )
-    assert [r[0] for r in rows] == [0, 1, 2, 3]
-    assert all(gn > 0 for _, _, gn in rows)
+    res = register(template, data, geom, small_cfg(max_iters=3))
+    assert len(res.grad_norms) == len(res.objective_history) == 4
+    assert all(gn > 0 for gn in res.grad_norms)
 
 
 def test_mass_preserving_action_runs(problem32):
