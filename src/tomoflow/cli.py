@@ -80,16 +80,15 @@ def _parse_config(path) -> tuple[SuiteCase, str]:
         return value
 
     size = need("phantom", "size", int, lambda v: v >= 2, " (need >= 2)")
-    reg = parser["registration"]
     try:
         cfg = RegistrationConfig(
             gamma=need("registration", "gamma", float, lambda v: v >= 0, " (need >= 0)"),
             sigma=need("registration", "sigma", float, lambda v: v > 0, " (need > 0)"),
             alpha=need("registration", "alpha", float, lambda v: v > 0, " (need > 0)"),
-            n_steps=int(reg.get("n_steps", "20")),
-            max_iters=int(reg.get("max_iters", "200")),
-            grad_tol=float(reg.get("grad_tol", "0.0")),
-            action=GroupAction.parse(reg.get("action", "geometric")),
+            n_steps=need("registration", "n_steps", int, default="20"),
+            max_iters=need("registration", "max_iters", int, default="200"),
+            grad_tol=need("registration", "grad_tol", float, default="0.0"),
+            action=need("registration", "action", GroupAction.parse, default="geometric"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

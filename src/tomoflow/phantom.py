@@ -47,13 +47,17 @@ class PhantomSpec:
 class NoiseSpec:
     """Additive white Gaussian noise scaled to hit an exact SNR in dB.
 
-    target_snr_db may be math.inf to request no noise. The draw comes
-    from numpy's PCG64 generator, so a fixed seed reproduces the same
-    bit stream on every platform.
+    target_snr_db may be math.inf to request no noise; NaN and -inf are
+    rejected. The draw comes from numpy's PCG64 generator, so a fixed
+    seed reproduces the same bit stream on every platform.
     """
 
     target_snr_db: float
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.target_snr_db > -math.inf:
+            raise ValueError(f"target SNR must be a finite dB value or inf, got {self.target_snr_db}")
 
 
 # (value, a, b, x0, y0, angle_deg), normalized coordinates.
@@ -238,7 +242,7 @@ def add_noise(sino: Sinogram, spec: NoiseSpec) -> Sinogram:
     sinogram and of the noise realization, so the scale is exact for the
     drawn sample rather than in expectation.
     """
-    if math.isinf(spec.target_snr_db) and spec.target_snr_db > 0:
+    if spec.target_snr_db == math.inf:
         return sino.copy()
     g = sino.values
     signal = float(np.sum((g - g.mean()) ** 2))

@@ -5,6 +5,9 @@ bilinear rule of ``grid`` and sums times the step length. Forward and
 adjoint are realized through one sparse system matrix per (grid,
 geometry) pair, so the back projection is the exact matrix transpose of
 the forward map: the adjoint identity holds to rounding by construction.
+The matrix is assembled one angle at a time: each angle's rays form a
+CSR block of their own, and the blocks are stacked, so only one angle's
+line samples are held at once.
 
 Inner products carry quadrature weights: hx*hy on images and
 hs*(pi/n_angles) on sinograms, approximating the continuum pairing over
@@ -101,25 +104,20 @@ def _system_matrix(grid: Grid2D, geom: SinogramGeometry) -> scipy.sparse.csr_mat
     t = -t_half + (np.arange(n_t) + 0.5) * ds
     s = geom.detector_centers()
 
-    rows_all, cols_all, data_all = [], [], []
-    for k, theta in enumerate(geom.angles_rad()):
+    blocks = []
+    for theta in geom.angles_rad():
         c, sn = math.cos(theta), math.sin(theta)
         # line points s*omega + t*omega_perp, omega = (cos, sin)
         x = s[:, None] * c - t[None, :] * sn
         y = s[:, None] * sn + t[None, :] * c
         pixels, weights = bilinear_stencil(grid, x, y)
         weights *= ds
-        ray = np.arange(k * geom.n_detectors, (k + 1) * geom.n_detectors, dtype=np.int32)[:, None]
-        for corner_pixels, corner_weights in zip(pixels, weights):
-            keep = (corner_pixels >= 0) & (corner_weights != 0.0)
-            rows_all.append(np.broadcast_to(ray, keep.shape)[keep])
-            cols_all.append(corner_pixels[keep])
-            data_all.append(corner_weights[keep])
-
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(geom.n_angles * geom.n_detectors, grid.ny * grid.nx),
-    ).tocsr()
+        keep = (pixels >= 0) & (weights != 0.0)
+        rays = np.broadcast_to(np.arange(geom.n_detectors, dtype=np.int32)[:, None], keep.shape)
+        blocks.append(scipy.sparse.csr_matrix(
+            (weights[keep], (rays[keep], pixels[keep])), shape=(geom.n_detectors, grid.ny * grid.nx)
+        ))
+    return scipy.sparse.vstack(blocks, format="csr")
 
 
 def ray_transform(img: ScalarImage, geom: SinogramGeometry) -> Sinogram:

@@ -1,10 +1,12 @@
 """Total-variation reconstruction baseline, solved with a primal-dual method.
 
 Minimizes  mu * TV(f) + |T f - g|^2_Y  over images f, with isotropic TV
-discretized by forward differences and Neumann boundary. The primal-dual
-iteration needs the plain (unweighted) transposes of the stacked
-operator (ray transform, discrete gradient); the quadrature weights of
-the data norm live in the proximal step instead.
+discretized by forward differences and Neumann boundary. Both operators
+of the primal-dual iteration are sparse matrices: the ray transform's
+system matrix and one difference matrix holding the x and y forward
+differences. Their adjoints are their plain (unweighted) transposes, so
+no adjoint is written by hand; the quadrature weights of the data norm
+live in the proximal step instead.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .grid import Grid2D, ScalarImage
 from .tomo import Sinogram, SinogramGeometry, _system_matrix
@@ -29,24 +32,19 @@ class TVConfig:
             raise ValueError("n_iters must be >= 1")
 
 
-def _forward_grad(f: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.zeros_like(f)
-    gy = np.zeros_like(f)
-    gx[:, :-1] = (f[:, 1:] - f[:, :-1]) / hx
-    gy[:-1, :] = (f[1:, :] - f[:-1, :]) / hy
-    return gx, gy
+def _difference_operator(grid: Grid2D) -> scipy.sparse.csr_matrix:
+    """Forward differences of the row-major flattened image as one
+    (2 * ny * nx, ny * nx) matrix: the x differences stacked on the y
+    differences, each divided by its spacing. The last difference along
+    each axis is zero (Neumann boundary)."""
 
+    def forward(n: int, h: float):
+        steps = scipy.sparse.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n))
+        return scipy.sparse.vstack([steps, scipy.sparse.csr_matrix((1, n))])
 
-def _grad_transpose(gx: np.ndarray, gy: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Exact transpose of _forward_grad (a negative divergence)."""
-    out = np.zeros_like(gx)
-    out[:, 0] -= gx[:, 0] / hx
-    out[:, 1:-1] -= (gx[:, 1:-1] - gx[:, :-2]) / hx
-    out[:, -1] += gx[:, -2] / hx
-    out[0, :] -= gy[0, :] / hy
-    out[1:-1, :] -= (gy[1:-1, :] - gy[:-2, :]) / hy
-    out[-1, :] += gy[-2, :] / hy
-    return out
+    d_x = scipy.sparse.kron(scipy.sparse.identity(grid.ny), forward(grid.nx, grid.hx))
+    d_y = scipy.sparse.kron(forward(grid.ny, grid.hy), scipy.sparse.identity(grid.nx))
+    return scipy.sparse.vstack([d_x, d_y], format="csr")
 
 
 def operator_norm_estimate(
@@ -54,14 +52,13 @@ def operator_norm_estimate(
 ) -> float:
     """Power-iteration estimate of the stacked operator norm |(T, grad)|."""
     mat = _system_matrix(grid, geom)
+    diff = _difference_operator(grid)
     rng = np.random.Generator(np.random.PCG64(seed))
-    v = rng.standard_normal(grid.shape)
+    v = rng.standard_normal(grid.ny * grid.nx)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(n_iters):
-        av = (mat @ v.ravel())
-        gx, gy = _forward_grad(v, grid.hx, grid.hy)
-        w = (mat.T @ av).reshape(grid.shape) + _grad_transpose(gx, gy, grid.hx, grid.hy)
+        w = mat.T @ (mat @ v) + diff.T @ (diff @ v)
         lam = np.linalg.norm(w)
         if lam == 0.0:
             return 0.0
@@ -77,6 +74,8 @@ def tv_reconstruct(data: Sinogram, grid: Grid2D, cfg: TVConfig) -> ScalarImage:
     """
     geom = data.geometry
     mat = _system_matrix(grid, geom)
+    diff = _difference_operator(grid)
+    mat_t, diff_t = mat.T, diff.T  # built once: each .T makes a new view
     norm_k = operator_norm_estimate(geom, grid)
     tau = sigma = 0.99 / norm_k
 
@@ -84,27 +83,20 @@ def tv_reconstruct(data: Sinogram, grid: Grid2D, cfg: TVConfig) -> ScalarImage:
     ball = cfg.mu * grid.cell_area
     g = data.values.ravel()
 
-    x = np.zeros(grid.shape)
+    x = np.zeros(grid.ny * grid.nx)
     x_bar = x.copy()
     p = np.zeros(g.shape)
-    qx = np.zeros(grid.shape)
-    qy = np.zeros(grid.shape)
+    q = np.zeros((2, x.size))  # the x and y components of the TV dual
 
     for _ in range(cfg.n_iters):
         # dual ascent: data term (weighted quadratic) and TV ball projection
-        p = (p + sigma * (mat @ x_bar.ravel()) - sigma * g) / (1.0 + sigma / (2.0 * w_y))
-        gx, gy = _forward_grad(x_bar, grid.hx, grid.hy)
-        qx += sigma * gx
-        qy += sigma * gy
-        mag = np.sqrt(qx * qx + qy * qy)
-        shrink = np.where(mag > ball, ball / np.maximum(mag, 1e-300), 1.0)
-        qx *= shrink
-        qy *= shrink
+        p = (p + sigma * (mat @ x_bar) - sigma * g) / (1.0 + sigma / (2.0 * w_y))
+        q += sigma * (diff @ x_bar).reshape(q.shape)
+        mag = np.sqrt(q[0] * q[0] + q[1] * q[1])
+        q *= np.where(mag > ball, ball / np.maximum(mag, 1e-300), 1.0)
 
         x_old = x
-        descent = (mat.T @ p).reshape(grid.shape) + _grad_transpose(qx, qy, grid.hx, grid.hy)
-        x = x - tau * descent
+        x = x - tau * (mat_t @ p + diff_t @ q.ravel())
         x_bar = x + (x - x_old)
 
-    return ScalarImage(grid, x)
-
+    return ScalarImage(grid, x.reshape(grid.shape))

@@ -67,6 +67,15 @@ def test_config_rejects_bad_sigma(tmp_path):
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize("key", ["n_steps", "max_iters", "grad_tol", "action"])
+def test_config_error_names_registration_key(tmp_path, key):
+    path = tmp_path / "bad.ini"
+    text = CONFIG.replace("n_steps = 5\n", "").replace("max_iters = 3\n", "")
+    path.write_text(text.replace("alpha = 0.02", f"alpha = 0.02\n{key} = five"))
+    with pytest.raises(ConfigError, match=rf"^bad value for \[registration\] {key} = 'five': "):
+        load_experiment_config(path)
+
+
 def test_register_command_outputs(tmp_path, config_path):
     out = tmp_path / "results"
     rc = main(["register", "--config", str(config_path), "--out", str(out)])
@@ -134,6 +143,29 @@ def test_register_numerical_failure_reports_detail(tmp_path, capsys):
     assert rc == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err and "time index" in err
+
+
+@pytest.mark.parametrize("snr_db", ["nan", "-inf"])
+def test_noise_rejects_undefined_snr(tmp_path, capsys, snr_db):
+    phantom_path = tmp_path / "p.igrd"
+    sino_path = tmp_path / "clean.isin"
+    noisy_path = tmp_path / "noisy.isin"
+    assert main(["phantom", "--kind", "shepp-logan", "--size", "16", "--out", str(phantom_path)]) == EXIT_OK
+    assert main(["project", "--image", str(phantom_path), "--angles", "4", "--detectors", "24",
+                 "--out", str(sino_path)]) == EXIT_OK
+    rc = main(["noise", "--sinogram", str(sino_path), f"--snr-db={snr_db}", "--out", str(noisy_path)])
+    assert rc == EXIT_USAGE
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not noisy_path.exists()
+
+
+def test_register_rejects_nan_snr(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text(CONFIG.replace("snr_db = 6.0", "snr_db = nan"))
+    out = tmp_path / "results"
+    assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_evaluate_truncated_file_is_usage_error(tmp_path, capsys):

@@ -132,6 +132,12 @@ def test_infinite_snr_means_no_noise(star_sinogram):
     np.testing.assert_array_equal(out.values, star_sinogram.values)
 
 
+@pytest.mark.parametrize("target_db", [math.nan, -math.inf])
+def test_noise_spec_rejects_undefined_snr(target_db):
+    with pytest.raises(ValueError, match="SNR"):
+        NoiseSpec(target_db, seed=5)
+
+
 def test_noise_seed_behaviour(star_sinogram):
     a = add_noise(star_sinogram, NoiseSpec(4.87, seed=1))
     b = add_noise(star_sinogram, NoiseSpec(4.87, seed=1))

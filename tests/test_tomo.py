@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,3 +215,18 @@ def test_system_matrix_matches_masked_reference(grid, n_angles, n_detectors):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+
+
+def test_system_matrix_build_memory_is_bounded():
+    # one angle's line samples are held at a time, not every angle's
+    # triplets, so the build peak stays within a few times the CSR's size
+    grid = Grid2D(128, 128)
+    geom = make_parallel_geometry(grid, 10, 362)
+    tracemalloc.start()
+    try:
+        mat = _system_matrix.__wrapped__(grid, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 5 * size
