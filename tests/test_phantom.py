@@ -17,8 +17,12 @@ from tomoflow import (
     ray_transform,
 )
 from tomoflow.phantom import (
+    ELLIPSE_SUPERSAMPLE,
+    EXTRA_OBJECT_ELLIPSE,
     MISSING_OBJECT_INDEX,
     SHEPP_LOGAN_ELLIPSES,
+    _rasterize_ellipses,
+    _warped_ellipses,
     rasterize_stars,
     SIX_STARS_TARGET_PARAMS,
 )
@@ -42,6 +46,65 @@ def test_phantom_determinism(kind):
     a = make_phantom(spec)
     b = make_phantom(spec)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def full_grid_ellipses_reference(grid, ellipses):
+    """Every ellipse's membership test over the whole supersampled grid."""
+    ss = ELLIPSE_SUPERSAMPLE
+    fine = Grid2D(grid.nx * ss, grid.ny * ss, grid.x_min, grid.x_max, grid.y_min, grid.y_max)
+    X, Y = fine.meshgrid()
+    cx = 0.5 * (grid.x_min + grid.x_max)
+    cy = 0.5 * (grid.y_min + grid.y_max)
+    scale = 0.5 * min(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
+    U, V = (X - cx) / scale, (Y - cy) / scale
+    img = np.zeros(fine.shape)
+    for value, a, b, x0, y0, ang in ellipses:
+        phi = math.radians(ang)
+        c, s = math.cos(phi), math.sin(phi)
+        du = U - x0
+        dv = V - y0
+        img += value * (((du * c + dv * s) / a) ** 2 + ((dv * c - du * s) / b) ** 2 <= 1.0)
+    img = np.clip(img, 0.0, 1.0)
+    return img.reshape(grid.ny, ss, grid.nx, ss).mean(axis=(1, 3))
+
+
+ELLIPSE_TABLES = {
+    PhantomKind.SHEPP_LOGAN: SHEPP_LOGAN_ELLIPSES,
+    PhantomKind.SHEPP_LOGAN_MISSING: tuple(
+        e for i, e in enumerate(SHEPP_LOGAN_ELLIPSES) if i != MISSING_OBJECT_INDEX
+    ),
+    PhantomKind.SHEPP_LOGAN_EXTRA: SHEPP_LOGAN_ELLIPSES + (EXTRA_OBJECT_ELLIPSE,),
+    PhantomKind.SHEPP_LOGAN_WARPED: _warped_ellipses(),
+}
+
+REFERENCE_GRIDS = {
+    "64": Grid2D(64, 64),
+    "256": Grid2D(256, 256),
+    "non_square": Grid2D(40, 24, -10.0, 10.0, -3.0, 3.0),
+    "non_dyadic": Grid2D(40, 27, -3.0, 5.0, -1.7, 2.3),
+}
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS.values(), ids=REFERENCE_GRIDS.keys())
+@pytest.mark.parametrize("kind", ELLIPSE_TABLES, ids=lambda k: k.value)
+def test_ellipse_phantoms_match_full_grid_reference(kind, grid):
+    got = make_phantom(PhantomSpec(kind, grid))
+    np.testing.assert_array_equal(got.values, full_grid_ellipses_reference(grid, ELLIPSE_TABLES[kind]))
+
+
+EDGE_CASE_TABLES = {
+    # (value, a, b, x0, y0, angle_deg), normalized coordinates
+    "straddles_edge": ((1.0, 0.5, 0.3, 0.9, -0.2, 30.0), (-0.5, 0.4, 0.4, -0.1, 0.95, 0.0)),
+    "off_grid": ((1.0, 0.3, 0.2, 0.0, 0.0, 0.0), (0.7, 0.2, 0.1, 4.0, -5.0, 45.0)),
+    "thin_rotated": ((1.0, 0.8, 0.004, 0.05, -0.1, 37.0), (0.6, 0.002, 0.5, -0.2, 0.1, -71.5)),
+}
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS.values(), ids=REFERENCE_GRIDS.keys())
+@pytest.mark.parametrize("table", EDGE_CASE_TABLES.values(), ids=EDGE_CASE_TABLES.keys())
+def test_edge_case_ellipses_match_full_grid_reference(table, grid):
+    got = _rasterize_ellipses(grid, table)
+    np.testing.assert_array_equal(got.values, full_grid_ellipses_reference(grid, table))
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])

@@ -12,6 +12,7 @@ from tomoflow import (
     PhantomSpec,
     ScalarImage,
     Sinogram,
+    SinogramGeometry,
     back_projection,
     fbp,
     make_parallel_geometry,
@@ -215,6 +216,20 @@ def test_system_matrix_matches_masked_reference(grid, n_angles, n_detectors):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+
+
+def test_system_matrix_stores_no_zero_weights():
+    # at angle 0 with detector centres on pixel centres every line sample
+    # lies on a pixel column, so 480 on-grid corners carry weight exactly 0
+    grid = Grid2D(16, 16)
+    geom = SinogramGeometry(
+        n_angles=1, n_detectors=16, s_min=grid.x_min, s_max=grid.x_max, ray_step=grid.hy
+    )
+    got = _system_matrix(grid, geom)
+    assert (got.data != 0).all()
+    ref = masked_system_matrix_reference(grid, geom)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
 def test_system_matrix_build_memory_is_bounded():
