@@ -23,10 +23,7 @@ class GroupAction(enum.Enum):
     MASS_PRESERVING = "mass-preserving"
 
     @classmethod
-    def parse(cls, name: str) -> "GroupAction":
-        for a in cls:
-            if a.value == name:
-                return a
+    def _missing_(cls, name):
         raise ValueError(f"unknown group action {name!r}; use 'geometric' or 'mass-preserving'")
 
 

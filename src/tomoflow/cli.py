@@ -14,10 +14,10 @@ import csv
 import dataclasses
 import math
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
-from .action import GroupAction
 from .experiments import SUITE_IDS, SuiteCase, run_case, run_suite
 from .grid import Grid2D
 from .io import read_igrd, read_isin, write_igrd, write_isin, write_pgm16
@@ -43,7 +43,7 @@ _CONFIG_SCHEMA = {
     "phantom": {"template_kind", "target_kind", "size"},
     "geometry": {"n_angles", "n_detectors"},
     "noise": {"snr_db", "seed"},
-    "registration": {"gamma", "sigma", "alpha", "n_steps", "max_iters", "grad_tol", "action"},
+    "registration": {f.name for f in dataclasses.fields(RegistrationConfig)},
     "fbp": {"freq_scaling"},
     "tv": {"mu", "iters"},
     "output": {"dir"},
@@ -80,26 +80,26 @@ def _parse_config(path) -> tuple[SuiteCase, str]:
         return value
 
     size = need("phantom", "size", int, lambda v: v >= 2, " (need >= 2)")
+    # RegistrationConfig holds the defaults and ranges: pass on the keys
+    # that are present, each converted by the type of its field
+    types = typing.get_type_hints(RegistrationConfig)
+    present = {
+        f.name: need("registration", f.name, types[f.name])
+        for f in dataclasses.fields(RegistrationConfig)
+        if f.name in parser["registration"] or f.default is dataclasses.MISSING
+    }
     try:
-        cfg = RegistrationConfig(
-            gamma=need("registration", "gamma", float, lambda v: v >= 0, " (need >= 0)"),
-            sigma=need("registration", "sigma", float, lambda v: v > 0, " (need > 0)"),
-            alpha=need("registration", "alpha", float, lambda v: v > 0, " (need > 0)"),
-            n_steps=need("registration", "n_steps", int, default="20"),
-            max_iters=need("registration", "max_iters", int, default="200"),
-            grad_tol=need("registration", "grad_tol", float, default="0.0"),
-            action=need("registration", "action", GroupAction.parse, default="geometric"),
-        )
+        cfg = RegistrationConfig(**present)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"invalid [registration] {exc}") from exc
     noisy = "noise" in parser
     case = SuiteCase(
         name=Path(path).stem,
         grid=Grid2D(size, size),
         n_angles=need("geometry", "n_angles", int, lambda v: v >= 1, " (need >= 1)"),
         n_detectors=need("geometry", "n_detectors", int, lambda v: v >= 2, " (need >= 2)"),
-        template_kind=need("phantom", "template_kind", PhantomKind.parse),
-        target_kind=need("phantom", "target_kind", PhantomKind.parse),
+        template_kind=need("phantom", "template_kind", PhantomKind),
+        target_kind=need("phantom", "target_kind", PhantomKind),
         snr_db=need("noise", "snr_db", float) if noisy else math.inf,
         noise_seed=need("noise", "seed", int, default="0") if noisy else 0,
         cfg=cfg,
@@ -125,8 +125,7 @@ def load_experiment_config(path) -> SuiteCase:
 
 
 def cmd_phantom(args) -> int:
-    kind = PhantomKind.parse(args.kind)
-    img = make_phantom(PhantomSpec(kind, Grid2D(args.size, args.size)))
+    img = make_phantom(PhantomSpec(PhantomKind(args.kind), Grid2D(args.size, args.size)))
     write_igrd(args.out, img)
     if args.preview:
         write_pgm16(Path(args.out).with_suffix(".pgm"), img)
@@ -148,9 +147,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_fbp(args) -> int:
-    grid = Grid2D(args.size, args.size)
-    sino = read_isin(args.sinogram, grid=grid)
-    rec = fbp(sino, grid, args.freq_scaling)
+    rec = fbp(read_isin(args.sinogram), Grid2D(args.size, args.size), args.freq_scaling)
     write_igrd(args.out, rec)
     write_pgm16(Path(args.out).with_suffix(".pgm"), rec)
     return EXIT_OK
@@ -158,8 +155,7 @@ def cmd_fbp(args) -> int:
 
 def cmd_tv(args) -> int:
     grid = Grid2D(args.size, args.size)
-    sino = read_isin(args.sinogram, grid=grid)
-    rec = tv_reconstruct(sino, grid, TVConfig(mu=args.mu, n_iters=args.iters))
+    rec = tv_reconstruct(read_isin(args.sinogram), grid, TVConfig(mu=args.mu, n_iters=args.iters))
     write_igrd(args.out, rec)
     write_pgm16(Path(args.out).with_suffix(".pgm"), rec)
     return EXIT_OK

@@ -9,7 +9,8 @@ Suite 4: topology mismatch, template missing / having an extra object.
 Each case, and each ``tomoflow register`` config, runs through
 ``run_case``, which writes the transported-template trajectory (IGRD plus
 PGM previews), a per-iteration objective CSV, a metrics CSV, the
-baselines and a JSON manifest into its output directory.
+baselines and a JSON manifest holding the whole case record into its
+output directory.
 """
 
 from __future__ import annotations
@@ -221,28 +222,18 @@ def _write_case_outputs(res: CaseResult, clean, out_dir: Path) -> None:
         write_pgm16(out_dir / "tv.pgm", rec)
     write_manifest(
         out_dir / "manifest.json",
-        {
-            "case": case.name,
-            "seed": case.noise_seed,
-            "grid": [case.grid.nx, case.grid.ny],
-            "n_angles": case.n_angles,
-            "n_detectors": case.n_detectors,
-            "snr_db": case.snr_db,
-            "gamma": case.cfg.gamma,
-            "sigma": case.cfg.sigma,
-            "alpha": case.cfg.alpha,
-            "n_steps": case.cfg.n_steps,
-            "max_iters": case.cfg.max_iters,
-            "action": case.cfg.action.value,
-            "config_sha256": case_hash(case),
-            "version": __version__,
-        },
+        {"case": case_record(case), "config_sha256": case_hash(case), "version": __version__},
     )
 
 
+def case_record(case: SuiteCase) -> dict:
+    """Every case parameter as plain JSON values, enums by their value."""
+    return json.loads(json.dumps(asdict(case), default=lambda enum: enum.value))
+
+
 def case_hash(case: SuiteCase) -> str:
-    """SHA-256 of the canonical JSON of every case parameter."""
-    canonical = json.dumps(asdict(case), sort_keys=True, default=lambda enum: enum.value)
+    """SHA-256 of the canonical (sorted-key) JSON of ``case_record``."""
+    canonical = json.dumps(case_record(case), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

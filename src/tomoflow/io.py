@@ -3,7 +3,8 @@
 Both binary formats are little-endian. IGRD: magic "IGRD", version byte
 1, u32 nx, u32 ny, f64 x_min/x_max/y_min/y_max, then nx*ny f64 values
 row-major (y outer). ISIN: magic "ISIN", version byte 1, u32 n_angles,
-u32 n_detectors, f64 s_min/s_max, then angle-major f64 values.
+u32 n_detectors, f64 s_min/s_max, then angle-major f64 values: the whole
+``SinogramGeometry``. Readers reject truncated files and non-finite values.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ def _read_header(fh, path, kind: str, fmt: str) -> tuple:
 
 
 def _read_payload(fh, path, kind: str, count: int) -> np.ndarray:
-    """``count`` f64 values, checked against the bytes left in the file
-    before anything is read, so a header's declared size is never trusted."""
+    """``count`` finite f64 values. The bytes left in the file are checked
+    first, so a header's declared size is never trusted."""
     if 8 * count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated {kind} payload")
-    return np.frombuffer(fh.read(8 * count), dtype="<f8")
+    data = np.frombuffer(fh.read(8 * count), dtype="<f8")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite value in {kind} payload")
+    return data
 
 
 def write_igrd(path, img: ScalarImage) -> None:
@@ -70,9 +74,7 @@ def write_isin(path, sino: Sinogram) -> None:
         fh.write(np.ascontiguousarray(sino.values, dtype="<f8").tobytes())
 
 
-def read_isin(path, grid: Grid2D | None = None) -> Sinogram:
-    """Read a sinogram; the ray sampling step is derived from ``grid`` when
-    given (half the smaller pixel spacing), else from the detector spacing."""
+def read_isin(path) -> Sinogram:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != ISIN_MAGIC:
@@ -81,11 +83,7 @@ def read_isin(path, grid: Grid2D | None = None) -> Sinogram:
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported ISIN version {version}")
         data = _read_payload(fh, path, "ISIN", m * p)
-    hs = (s_max - s_min) / p
-    ray_step = 0.5 * min(grid.hx, grid.hy) if grid is not None else 0.5 * hs
-    geom = SinogramGeometry(
-        n_angles=m, n_detectors=p, s_min=s_min, s_max=s_max, ray_step=ray_step
-    )
+    geom = SinogramGeometry(n_angles=m, n_detectors=p, s_min=s_min, s_max=s_max)
     return Sinogram(geom, data.reshape(m, p).copy())
 
 
@@ -102,9 +100,7 @@ def write_pgm16(path, img: ScalarImage) -> None:
 def write_manifest(path, entries: dict) -> None:
     import scipy
 
-    payload = dict(entries)
-    payload.setdefault("versions", {})
-    payload["versions"].update({"numpy": np.__version__, "scipy": scipy.__version__})
+    payload = dict(entries, versions={"numpy": np.__version__, "scipy": scipy.__version__})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -42,7 +42,7 @@ def _gram(n: int, h: float, sigma: float) -> np.ndarray:
 
 
 def make_kernel(grid: Grid2D, sigma: float) -> KernelSpec:
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"kernel width sigma must be > 0, got {sigma}")
     return KernelSpec(float(sigma), grid, _gram(grid.nx, grid.hx, sigma), _gram(grid.ny, grid.hy, sigma))
 

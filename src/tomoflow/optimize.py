@@ -46,18 +46,19 @@ class RegistrationConfig:
     action: GroupAction = GroupAction.GEOMETRIC
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be >= 0")
+        # written as "not x >= 0" so that NaN fails every check
+        if not self.gamma >= 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not self.n_steps >= 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.grad_tol >= 0:
+            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
 
 @dataclass

@@ -35,10 +35,7 @@ class PhantomKind(enum.Enum):
     SIX_STARS_TARGET = "six-stars-target"
 
     @classmethod
-    def parse(cls, name: str) -> "PhantomKind":
-        for k in cls:
-            if k.value == name:
-                return k
+    def _missing_(cls, name):
         valid = ", ".join(k.value for k in cls)
         raise ValueError(f"unknown phantom kind {name!r}; valid kinds: {valid}")
 

@@ -1,10 +1,11 @@
 """2D parallel-beam ray transform, its exact discrete adjoint, and FBP.
 
-The forward projector samples each line at uniform steps with the
-bilinear rule of ``grid`` and sums times the step length. Forward and
-adjoint are realized through one sparse system matrix per (grid,
-geometry) pair, so the back projection is the exact matrix transpose of
-the forward map: the adjoint identity holds to rounding by construction.
+The forward projector samples each line at uniform steps of half the
+smaller pixel spacing with the bilinear rule of ``grid`` and sums times
+the step length. Forward and adjoint are realized through one sparse
+system matrix per (grid, geometry) pair, so the back projection is the
+exact matrix transpose of the forward map: the adjoint identity holds to
+rounding by construction.
 The matrix is assembled one angle at a time: each angle's rays form a
 CSR block of their own, and the blocks are stacked, so only one angle's
 line samples are held at once.
@@ -30,19 +31,19 @@ from .grid import Grid2D, ScalarImage, bilinear_stencil
 @dataclass(frozen=True)
 class SinogramGeometry:
     """Parallel-beam sampling: angles k*180/M degrees, detector centers
-    s_min + (p + 0.5) * hs, rays sampled at uniform step ray_step."""
+    s_min + (p + 0.5) * hs. These are exactly the fields of an ISIN header;
+    the step along each ray is the projector's, derived from the grid."""
 
     n_angles: int
     n_detectors: int
     s_min: float
     s_max: float
-    ray_step: float
 
     def __post_init__(self):
         if self.n_angles < 1 or self.n_detectors < 2:
             raise ValueError("need n_angles >= 1 and n_detectors >= 2")
-        if not (self.s_max > self.s_min and self.ray_step > 0):
-            raise ValueError("detector extent and ray step must be positive")
+        if not self.s_max > self.s_min:
+            raise ValueError("detector extent must be positive")
 
     @property
     def hs(self) -> float:
@@ -91,13 +92,12 @@ def make_parallel_geometry(grid: Grid2D, n_angles: int, n_detectors: int) -> Sin
         n_detectors=n_detectors,
         s_min=-0.5 * (diag + hs),
         s_max=0.5 * (diag + hs),
-        ray_step=0.5 * min(grid.hx, grid.hy),
     )
 
 
 @functools.cache
 def _system_matrix(grid: Grid2D, geom: SinogramGeometry) -> scipy.sparse.csr_matrix:
-    ds = geom.ray_step
+    ds = 0.5 * min(grid.hx, grid.hy)
     half = 0.5 * math.hypot(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
     t_half = half + max(grid.hx, grid.hy)  # one pixel past the grid's half diagonal
     n_t = int(math.ceil(2.0 * t_half / ds))

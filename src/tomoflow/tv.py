@@ -26,10 +26,10 @@ class TVConfig:
     n_iters: int = 1000
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be > 0")
-        if self.n_iters < 1:
-            raise ValueError("n_iters must be >= 1")
+        if not self.mu > 0:
+            raise ValueError(f"mu must be > 0, got {self.mu}")
+        if not self.n_iters >= 1:
+            raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
 
 
 def _difference_operator(grid: Grid2D) -> scipy.sparse.csr_matrix:

@@ -11,10 +11,10 @@ def time_constant(vx, vy, n_steps):
 
 
 def test_parse_action_names():
-    assert GroupAction.parse("geometric") is GroupAction.GEOMETRIC
-    assert GroupAction.parse("mass-preserving") is GroupAction.MASS_PRESERVING
-    with pytest.raises(ValueError):
-        GroupAction.parse("affine")
+    assert GroupAction("geometric") is GroupAction.GEOMETRIC
+    assert GroupAction("mass-preserving") is GroupAction.MASS_PRESERVING
+    with pytest.raises(ValueError, match="unknown group action 'affine'; use 'geometric'"):
+        GroupAction("affine")
 
 
 @pytest.mark.parametrize("action", list(GroupAction))

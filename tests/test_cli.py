@@ -1,6 +1,9 @@
 import csv
+import dataclasses
+import hashlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from tomoflow.cli import (
     EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, ConfigError, build_parser, load_experiment_config, main,
 )
+from tomoflow.experiments import SuiteCase
 from tomoflow.io import read_igrd, read_isin
 
 CONFIG = """
@@ -85,13 +89,25 @@ def test_register_command_outputs(tmp_path, config_path):
     assert (out / "objective.csv").exists()
     assert (out / "metrics.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 11
+    assert manifest["case"]["noise_seed"] == 11
     assert len(manifest["config_sha256"]) == 64
     assert "numpy" in manifest["versions"]
     with open(out / "objective.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4  # max_iters + 1 evaluations
     assert float(rows[-1]["total"]) < float(rows[0]["total"])
+
+
+def test_manifest_holds_the_case_record_it_hashes(tmp_path, config_path):
+    out = tmp_path / "results"
+    assert main(["register", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    canonical = json.dumps(manifest["case"], sort_keys=True)
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == manifest["config_sha256"]
+    assert set(manifest["case"]) == {f.name for f in dataclasses.fields(SuiteCase)}
+    assert manifest["case"]["cfg"]["action"] == "geometric"
+    assert manifest["case"]["template_kind"] == "single-star-template"
+    assert manifest["case"]["tv_mu"] is None
 
 
 def test_register_rerun_is_bit_identical(tmp_path, config_path):
@@ -166,6 +182,32 @@ def test_register_rejects_nan_snr(tmp_path, capsys):
     assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,bound", [("gamma", ">= 0"), ("sigma", "> 0"), ("alpha", "> 0")])
+def test_register_rejects_nan_registration_value(tmp_path, capsys, key, bound):
+    path = tmp_path / "nan.ini"
+    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = nan", CONFIG, flags=re.MULTILINE))
+    out = tmp_path / "results"
+    assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"config error: invalid [registration] {key} must be {bound}, got nan"]
+    assert not out.exists()
+
+
+def test_evaluate_non_finite_image_is_usage_error(tmp_path, capsys):
+    good = tmp_path / "good.igrd"
+    bad = tmp_path / "bad.igrd"
+    assert main(["phantom", "--kind", "shepp-logan", "--size", "16", "--out", str(good)]) == EXIT_OK
+    raw = bytearray(good.read_bytes())
+    raw[-8:] = struct.pack("<d", math.nan)
+    bad.write_bytes(bytes(raw))
+    scores = tmp_path / "s.csv"
+    rc = main(["evaluate", "--image", str(bad), "--reference", str(good), "--out", str(scores)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"error: {bad}: non-finite value in IGRD payload"]
+    assert not scores.exists()
 
 
 def test_evaluate_truncated_file_is_usage_error(tmp_path, capsys):

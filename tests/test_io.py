@@ -95,9 +95,29 @@ def test_isin_roundtrip(tmp_path):
     sino = Sinogram(geom, rng.standard_normal(geom.shape))
     path = tmp_path / "data.isin"
     write_isin(path, sino)
-    back = read_isin(path, grid=g)
+    back = read_isin(path)
     assert back.geometry == geom
     np.testing.assert_array_equal(back.values, sino.values)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_igrd_rejects_non_finite_payload(tmp_path, value):
+    values = np.zeros((3, 4))
+    values[1, 2] = value
+    path = tmp_path / "img.igrd"
+    write_igrd(path, ScalarImage(Grid2D(4, 3), values))
+    with pytest.raises(ValueError, match=f"^{path}: non-finite value in IGRD payload$"):
+        read_igrd(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_isin_rejects_non_finite_payload(tmp_path, value):
+    sino = Sinogram.zeros(make_parallel_geometry(Grid2D(32, 32), 6, 48))
+    sino.values[5, 47] = value
+    path = tmp_path / "data.isin"
+    write_isin(path, sino)
+    with pytest.raises(ValueError, match=f"^{path}: non-finite value in ISIN payload$"):
+        read_isin(path)
 
 
 def test_isin_header(tmp_path):

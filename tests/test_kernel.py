@@ -51,6 +51,11 @@ def test_kernel_rejects_bad_sigma(grid16):
         make_kernel(grid16, 0.0)
 
 
+def test_kernel_rejects_nan_sigma(grid16):
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        make_kernel(grid16, math.nan)
+
+
 def test_smooth_zero_field(grid16):
     spec = make_kernel(grid16, 3.0)
     out = smooth(spec, np.zeros((2,) + grid16.shape))

@@ -177,7 +177,8 @@ def test_mass_preserving_action_runs(problem32):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("gamma", -1.0), ("sigma", 0.0), ("alpha", 0.0), ("n_steps", 0), ("max_iters", 0), ("grad_tol", -1e-3)],
+    [("gamma", -1.0), ("sigma", 0.0), ("alpha", 0.0), ("n_steps", 0), ("max_iters", 0), ("grad_tol", -1e-3),
+     ("gamma", np.nan), ("sigma", np.nan), ("alpha", np.nan), ("grad_tol", np.nan)],
 )
 def test_config_validation(field, value):
     kw = dict(gamma=1e-7, sigma=2.0, alpha=0.02, n_steps=5, max_iters=10, grad_tol=0.0)

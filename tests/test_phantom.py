@@ -40,6 +40,12 @@ def test_shepp_logan_sanity():
     assert 0.05 < frac < 0.80
 
 
+def test_phantom_kind_names():
+    assert PhantomKind("shepp-logan") is PhantomKind.SHEPP_LOGAN
+    with pytest.raises(ValueError, match="unknown phantom kind 'nonsense'; valid kinds: shepp-logan, "):
+        PhantomKind("nonsense")
+
+
 @pytest.mark.parametrize("kind", list(PhantomKind))
 def test_phantom_determinism(kind):
     spec = PhantomSpec(kind, grid_of(64))

@@ -28,7 +28,6 @@ def test_geometry_extent_covers_diagonal(grid64):
     centers = geom.detector_centers()
     assert centers[0] == pytest.approx(-diag / 2)
     assert centers[-1] == pytest.approx(diag / 2)
-    assert geom.ray_step == pytest.approx(0.25)
 
 
 def test_zero_image_zero_sinogram(grid32):
@@ -158,8 +157,9 @@ def test_fbp_disk_interior_mean():
 
 def masked_system_matrix_reference(grid, geom):
     """The projector assembled corner by corner, each corner masked to the
-    grid: floors, weights and masks written out independently of ``grid``."""
-    ds = geom.ray_step
+    grid: floors, weights and masks written out independently of ``grid``.
+    Rays are sampled at half the smaller pixel spacing."""
+    ds = 0.5 * min(grid.hx, grid.hy)
     half = 0.5 * math.hypot(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
     t_half = half + 1.0 * max(grid.hx, grid.hy)
     n_t = int(math.ceil(2.0 * t_half / ds))
@@ -220,11 +220,9 @@ def test_system_matrix_matches_masked_reference(grid, n_angles, n_detectors):
 
 def test_system_matrix_stores_no_zero_weights():
     # at angle 0 with detector centres on pixel centres every line sample
-    # lies on a pixel column, so 480 on-grid corners carry weight exactly 0
+    # lies on a pixel column, so 960 on-grid corners carry weight exactly 0
     grid = Grid2D(16, 16)
-    geom = SinogramGeometry(
-        n_angles=1, n_detectors=16, s_min=grid.x_min, s_max=grid.x_max, ray_step=grid.hy
-    )
+    geom = SinogramGeometry(n_angles=1, n_detectors=16, s_min=grid.x_min, s_max=grid.x_max)
     got = _system_matrix(grid, geom)
     assert (got.data != 0).all()
     ref = masked_system_matrix_reference(grid, geom)

@@ -87,6 +87,11 @@ def test_config_validation():
         TVConfig(mu=1.0, n_iters=0)
 
 
+def test_config_rejects_nan_mu():
+    with pytest.raises(ValueError, match="mu must be > 0"):
+        TVConfig(mu=float("nan"))
+
+
 def disk_problem(n=64, r=8.0, n_angles=60):
     grid = Grid2D(n, n)
     X, Y = grid.meshgrid()
