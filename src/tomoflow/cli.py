@@ -39,13 +39,14 @@ class ConfigError(ValueError):
 
 # --- register config -----------------------------------------------------
 
+# [noise], [registration] and [tv] are read by one rule: their keys are
+# the fields of NoiseSpec, RegistrationConfig and TVConfig
+_SECTION_CONFIGS = {"noise": NoiseSpec, "registration": RegistrationConfig, "tv": TVConfig}
 _CONFIG_SCHEMA = {
     "phantom": {"template_kind", "target_kind", "size"},
     "geometry": {"n_angles", "n_detectors"},
-    "noise": {"snr_db", "seed"},
-    "registration": {f.name for f in dataclasses.fields(RegistrationConfig)},
+    **{section: {f.name for f in dataclasses.fields(cls)} for section, cls in _SECTION_CONFIGS.items()},
     "fbp": {"freq_scaling"},
-    "tv": {"mu", "iters"},
     "output": {"dir"},
 }
 _REQUIRED_SECTIONS = ("phantom", "geometry", "registration")
@@ -67,49 +68,45 @@ def _parse_config(path) -> tuple[SuiteCase, str]:
         if section not in parser:
             raise ConfigError(f"missing required section [{section}]")
 
-    def need(section, key, convert, validate=None, describe="", default=None):
-        if key not in parser[section] and default is None:
+    def need(section, key, convert):
+        if key not in parser[section]:
             raise ConfigError(f"missing key {key!r} in section [{section}]")
-        raw = parser[section].get(key, default)
+        raw = parser[section][key]
         try:
-            value = convert(raw)
+            return convert(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
-        if validate is not None and not validate(value):
-            raise ConfigError(f"invalid [{section}] {key} = {raw!r}{describe}")
-        return value
 
-    size = need("phantom", "size", int, lambda v: v >= 2, " (need >= 2)")
-    # RegistrationConfig holds the defaults and ranges: pass on the keys
-    # that are present, each converted by the type of its field
-    types = typing.get_type_hints(RegistrationConfig)
-    present = {
-        f.name: need("registration", f.name, types[f.name])
-        for f in dataclasses.fields(RegistrationConfig)
-        if f.name in parser["registration"] or f.default is dataclasses.MISSING
-    }
-    try:
-        cfg = RegistrationConfig(**present)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [registration] {exc}") from exc
-    noisy = "noise" in parser
+    def build(section, make, **values):
+        try:
+            return make(**values)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [{section}] {exc}") from exc
+
+    def section_config(section):
+        # the config class holds the defaults and ranges: pass on the keys
+        # that are present (and the required ones, so that a missing one is
+        # named), each converted by the type of its field
+        cls = _SECTION_CONFIGS[section]
+        types = typing.get_type_hints(cls)
+        return build(section, cls, **{
+            f.name: need(section, f.name, types[f.name])
+            for f in dataclasses.fields(cls)
+            if f.name in parser[section] or f.default is dataclasses.MISSING
+        })
+
+    size = need("phantom", "size", int)
     case = SuiteCase(
         name=Path(path).stem,
-        grid=Grid2D(size, size),
-        n_angles=need("geometry", "n_angles", int, lambda v: v >= 1, " (need >= 1)"),
-        n_detectors=need("geometry", "n_detectors", int, lambda v: v >= 2, " (need >= 2)"),
+        grid=build("phantom", Grid2D, nx=size, ny=size),
+        n_angles=need("geometry", "n_angles", int),
+        n_detectors=need("geometry", "n_detectors", int),
         template_kind=need("phantom", "template_kind", PhantomKind),
         target_kind=need("phantom", "target_kind", PhantomKind),
-        snr_db=need("noise", "snr_db", float) if noisy else math.inf,
-        noise_seed=need("noise", "seed", int, default="0") if noisy else 0,
-        cfg=cfg,
-        fbp_freq_scaling=need(
-            "fbp", "freq_scaling", float, lambda v: 0 < v <= 1, " (need in (0, 1])"
-        ) if "fbp" in parser else None,
-        tv_mu=need("tv", "mu", float, lambda v: v > 0, " (need > 0)") if "tv" in parser else None,
-        tv_iters=need(
-            "tv", "iters", int, lambda v: v >= 1, " (need >= 1)", default="1000"
-        ) if "tv" in parser else 1000,
+        noise=section_config("noise") if "noise" in parser else NoiseSpec(math.inf),
+        cfg=section_config("registration"),
+        fbp_freq_scaling=need("fbp", "freq_scaling", float) if "fbp" in parser else None,
+        tv=section_config("tv") if "tv" in parser else None,
     )
     return case, parser.get("output", "dir", fallback="out")
 
@@ -117,7 +114,7 @@ def _parse_config(path) -> tuple[SuiteCase, str]:
 def load_experiment_config(path) -> SuiteCase:
     """Parse and validate the INI config into a case named after the file's
     stem; unknown sections or keys are errors. Without [noise] the data
-    are noise-free (snr_db = inf)."""
+    are noise-free (noise.snr_db = inf)."""
     return _parse_config(path)[0]
 
 
@@ -175,7 +172,7 @@ def cmd_evaluate(args) -> int:
 def cmd_register(args) -> int:
     case, config_out = _parse_config(args.config)
     if args.seed is not None:
-        case = dataclasses.replace(case, noise_seed=args.seed)
+        case = dataclasses.replace(case, noise=dataclasses.replace(case.noise, seed=args.seed))
     res = run_case(case, Path(args.out or config_out))
     if res.registration.stop_reason is StopReason.NUMERICAL_FAILURE:
         print(f"register: stopped on numerical failure ({res.registration.stop_detail}); "
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise", help="add calibrated noise to a sinogram")
     p.add_argument("--sinogram", required=True)
     p.add_argument("--snr-db", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=NoiseSpec.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_noise)
 
@@ -246,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sinogram", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--iters", type=int, default=1000)
+    p.add_argument("--iters", type=int, default=TVConfig.n_iters)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_tv)
 

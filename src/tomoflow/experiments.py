@@ -19,17 +19,16 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .action import GroupAction
-from .grid import Grid2D, ScalarImage
+from .grid import Grid2D
 from .io import write_igrd, write_isin, write_manifest, write_pgm16
 from .metrics import measure_snr, psnr, ssim
 from .optimize import RegistrationConfig, RegistrationResult, register
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
-from .tomo import Sinogram, fbp, make_parallel_geometry, ray_transform
+from .tomo import fbp, make_parallel_geometry, ray_transform
 from .tv import TVConfig, tv_reconstruct
 
 SUITE_IDS = (1, 2, 3, 4)
@@ -43,7 +42,8 @@ SUITE3_GAMMAS = (1e-7, 1e-5, 1e-3, 1e-1, 10.0)
 class SuiteCase:
     """One registration run: a suite cell or a ``register`` config.
 
-    snr_db = inf means noise-free data.
+    noise.snr_db = inf means noise-free data. fbp_freq_scaling and tv
+    set the optional FBP and TV baselines.
     """
 
     name: str
@@ -52,12 +52,23 @@ class SuiteCase:
     n_detectors: int
     template_kind: PhantomKind
     target_kind: PhantomKind
-    snr_db: float
-    noise_seed: int
+    noise: NoiseSpec
     cfg: RegistrationConfig
     fbp_freq_scaling: float | None = None
-    tv_mu: float | None = None
-    tv_iters: int = 1000
+    tv: TVConfig | None = None
+
+
+# the head-phantom scene of suites 3 and 4, which vary it cell by cell
+_HEAD_SCENE = SuiteCase(
+    name="head",
+    grid=Grid2D(256, 256),
+    n_angles=10,
+    n_detectors=362,
+    template_kind=PhantomKind.SHEPP_LOGAN_WARPED,
+    target_kind=PhantomKind.SHEPP_LOGAN,
+    noise=NoiseSpec(7.06, seed=103),
+    cfg=RegistrationConfig(gamma=1e-7, sigma=2.0, alpha=0.02),
+)
 
 
 def suite_cases(suite_id: int, full: bool = False) -> list[SuiteCase]:
@@ -70,78 +81,46 @@ def suite_cases(suite_id: int, full: bool = False) -> list[SuiteCase]:
                 n_detectors=92,
                 template_kind=PhantomKind.SINGLE_STAR_TEMPLATE,
                 target_kind=PhantomKind.SINGLE_STAR_TARGET,
-                snr_db=4.87,
-                noise_seed=101,
-                cfg=RegistrationConfig(gamma=1e-7, sigma=6.0, alpha=0.02, n_steps=20, max_iters=200),
+                noise=NoiseSpec(4.87, seed=101),
+                cfg=RegistrationConfig(gamma=1e-7, sigma=6.0, alpha=0.02),
                 fbp_freq_scaling=0.4,
-                tv_mu=3.0,
-                tv_iters=1000,
+                tv=TVConfig(mu=3.0),
             )
         ]
     if suite_id == 2:
         n = 438 if full else 219
-        det = 620 if full else 310
         return [
             SuiteCase(
                 name="suite2",
                 grid=Grid2D(n, n),
                 n_angles=6,
-                n_detectors=det,
+                n_detectors=620 if full else 310,
                 template_kind=PhantomKind.SIX_STARS_TEMPLATE,
                 target_kind=PhantomKind.SIX_STARS_TARGET,
-                snr_db=4.75,
-                noise_seed=102,
-                cfg=RegistrationConfig(gamma=1e-7, sigma=2.0, alpha=0.04, n_steps=20, max_iters=200),
+                noise=NoiseSpec(4.75, seed=102),
+                cfg=RegistrationConfig(gamma=1e-7, sigma=2.0, alpha=0.04),
                 fbp_freq_scaling=0.4,
-                tv_mu=1.0,
-                tv_iters=1000,
+                tv=TVConfig(mu=1.0),
             )
         ]
     if suite_id == 3:
-        cases = []
-        for sigma in SUITE3_SIGMAS:
-            for gamma in SUITE3_GAMMAS:
-                cases.append(
-                    SuiteCase(
-                        name=f"suite3_sigma{sigma:g}_gamma{gamma:g}",
-                        grid=Grid2D(256, 256),
-                        n_angles=10,
-                        n_detectors=362,
-                        template_kind=PhantomKind.SHEPP_LOGAN_WARPED,
-                        target_kind=PhantomKind.SHEPP_LOGAN,
-                        snr_db=7.06,
-                        noise_seed=103,
-                        cfg=RegistrationConfig(
-                            gamma=gamma, sigma=sigma, alpha=0.02, n_steps=20, max_iters=200
-                        ),
-                    )
-                )
-        return cases
+        return [
+            replace(
+                _HEAD_SCENE,
+                name=f"suite3_sigma{sigma:g}_gamma{gamma:g}",
+                cfg=replace(_HEAD_SCENE.cfg, gamma=gamma, sigma=sigma),
+            )
+            for sigma in SUITE3_SIGMAS
+            for gamma in SUITE3_GAMMAS
+        ]
     if suite_id == 4:
         n = 256 if full else 128
+        cell = replace(_HEAD_SCENE, grid=Grid2D(n, n), cfg=replace(_HEAD_SCENE.cfg, max_iters=1000))
         return [
-            SuiteCase(
-                name="suite4_missing",
-                grid=Grid2D(n, n),
-                n_angles=10,
-                n_detectors=362,
-                template_kind=PhantomKind.SHEPP_LOGAN_MISSING,
-                target_kind=PhantomKind.SHEPP_LOGAN,
-                snr_db=7.06,
-                noise_seed=104,
-                cfg=RegistrationConfig(gamma=1e-7, sigma=2.0, alpha=0.02, n_steps=20, max_iters=1000),
-            ),
-            SuiteCase(
-                name="suite4_extra",
-                grid=Grid2D(n, n),
-                n_angles=10,
-                n_detectors=362,
-                template_kind=PhantomKind.SHEPP_LOGAN_EXTRA,
-                target_kind=PhantomKind.SHEPP_LOGAN,
-                snr_db=6.46,
-                noise_seed=105,
-                cfg=RegistrationConfig(gamma=1e-7, sigma=2.0, alpha=0.02, n_steps=20, max_iters=1000),
-            ),
+            replace(cell, name="suite4_missing", template_kind=PhantomKind.SHEPP_LOGAN_MISSING,
+                    noise=NoiseSpec(7.06, seed=104)),
+            replace(cell, name="suite4_extra", template_kind=PhantomKind.SHEPP_LOGAN_EXTRA,
+                    noise=NoiseSpec(6.46, seed=105)),
         ]
     raise ValueError(f"unknown suite id {suite_id}; valid ids: {SUITE_IDS}")
 
@@ -150,46 +129,32 @@ def suite_cases(suite_id: int, full: bool = False) -> list[SuiteCase]:
 class CaseResult:
     case: SuiteCase
     registration: RegistrationResult
-    template: ScalarImage
-    target: ScalarImage
-    data: Sinogram
     ssim_final: float
     psnr_final: float
 
 
-def prepare_case(case: SuiteCase):
+def run_case(case: SuiteCase, out_dir: Path) -> CaseResult:
+    """Simulate the case's data, compute its baselines, register, and write
+    every output file. A bad geometry or baseline setting raises before the
+    solve and before anything is written."""
     template = make_phantom(PhantomSpec(case.template_kind, case.grid))
     target = make_phantom(PhantomSpec(case.target_kind, case.grid))
     geom = make_parallel_geometry(case.grid, case.n_angles, case.n_detectors)
     clean = ray_transform(target, geom)
-    data = add_noise(clean, NoiseSpec(case.snr_db, case.noise_seed))
-    return template, target, geom, clean, data
+    data = add_noise(clean, case.noise)
+    baselines = {}
+    if case.fbp_freq_scaling is not None:
+        baselines["fbp"] = fbp(data, case.grid, case.fbp_freq_scaling)
+    if case.tv is not None:
+        baselines["tv"] = tv_reconstruct(data, case.grid, case.tv)
+    reg = register(template, data, geom, case.cfg)
+    final = reg.trajectory[-1]
+    res = CaseResult(case, reg, ssim_final=ssim(final, target), psnr_final=psnr(final, target))
 
-
-def run_case(case: SuiteCase, out_dir: Path) -> CaseResult:
-    template, target, geom, clean, data = prepare_case(case)
-    result = register(template, data, geom, case.cfg)
-    final = result.trajectory[-1]
-    out = CaseResult(
-        case=case,
-        registration=result,
-        template=template,
-        target=target,
-        data=data,
-        ssim_final=ssim(final, target),
-        psnr_final=psnr(final, target),
-    )
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_case_outputs(out, clean, out_dir)
-    return out
-
-
-def _write_case_outputs(res: CaseResult, clean, out_dir: Path) -> None:
-    case = res.case
-    reg = res.registration
-    write_igrd(out_dir / "template.igrd", res.template)
-    write_igrd(out_dir / "target.igrd", res.target)
-    write_isin(out_dir / "data.isin", res.data)
+    write_igrd(out_dir / "template.igrd", template)
+    write_igrd(out_dir / "target.igrd", target)
+    write_isin(out_dir / "data.isin", data)
     for i, img in enumerate(reg.trajectory):
         write_igrd(out_dir / f"trajectory_{i:03d}.igrd", img)
         write_pgm16(out_dir / f"trajectory_{i:03d}.pgm", img)
@@ -198,7 +163,7 @@ def _write_case_outputs(res: CaseResult, clean, out_dir: Path) -> None:
         writer.writerow(["iteration", "total", "penalty", "discrepancy", "grad_norm"])
         for k, (value, grad_norm) in enumerate(zip(reg.objective_history, reg.grad_norms)):
             writer.writerow([k, value.total, value.penalty, value.discrepancy, grad_norm])
-    snr = measure_snr(clean, res.data) if math.isfinite(case.snr_db) else math.inf  # noise-free
+    snr = measure_snr(clean, data) if math.isfinite(case.noise.snr_db) else math.inf  # noise-free
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "ssim", "psnr_db", "snr_db", "iterations", "stop_reason"])
@@ -212,18 +177,14 @@ def _write_case_outputs(res: CaseResult, clean, out_dir: Path) -> None:
                 reg.stop_reason.value,
             ]
         )
-    if case.fbp_freq_scaling is not None:
-        rec = fbp(res.data, case.grid, case.fbp_freq_scaling)
-        write_igrd(out_dir / "fbp.igrd", rec)
-        write_pgm16(out_dir / "fbp.pgm", rec)
-    if case.tv_mu is not None:
-        rec = tv_reconstruct(res.data, case.grid, TVConfig(mu=case.tv_mu, n_iters=case.tv_iters))
-        write_igrd(out_dir / "tv.igrd", rec)
-        write_pgm16(out_dir / "tv.pgm", rec)
+    for name, rec in baselines.items():
+        write_igrd(out_dir / f"{name}.igrd", rec)
+        write_pgm16(out_dir / f"{name}.pgm", rec)
     write_manifest(
         out_dir / "manifest.json",
         {"case": case_record(case), "config_sha256": case_hash(case), "version": __version__},
     )
+    return res
 
 
 def case_record(case: SuiteCase) -> dict:

@@ -29,6 +29,7 @@ for the ray transform's system matrix. These, ``gradient`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,8 +54,9 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs at least 2x2 pixels, got {self.nx}x{self.ny}")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("grid extents must satisfy x_max > x_min and y_max > y_min")
+        # a difference is finite only if both ends are, and NaN fails both checks
+        if not (0 < self.x_max - self.x_min < math.inf and 0 < self.y_max - self.y_min < math.inf):
+            raise ValueError("grid extents must be finite and satisfy x_max > x_min and y_max > y_min")
 
     @property
     def hx(self) -> float:

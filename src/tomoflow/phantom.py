@@ -50,17 +50,17 @@ class PhantomSpec:
 class NoiseSpec:
     """Additive white Gaussian noise scaled to hit an exact SNR in dB.
 
-    target_snr_db may be math.inf to request no noise; NaN and -inf are
+    snr_db may be math.inf to request no noise; NaN and -inf are
     rejected. The draw comes from numpy's PCG64 generator, so a fixed
     seed reproduces the same bit stream on every platform.
     """
 
-    target_snr_db: float
+    snr_db: float
     seed: int = 0
 
     def __post_init__(self):
-        if not self.target_snr_db > -math.inf:
-            raise ValueError(f"target SNR must be a finite dB value or inf, got {self.target_snr_db}")
+        if not self.snr_db > -math.inf:
+            raise ValueError(f"snr_db must be a finite SNR in dB or inf, got {self.snr_db}")
 
 
 # (value, a, b, x0, y0, angle_deg), normalized coordinates.
@@ -247,7 +247,7 @@ def add_noise(sino: Sinogram, spec: NoiseSpec) -> Sinogram:
     sinogram and of the noise realization, so the scale is exact for the
     drawn sample rather than in expectation.
     """
-    if spec.target_snr_db == math.inf:
+    if spec.snr_db == math.inf:
         return sino.copy()
     g = sino.values
     signal = float(np.sum((g - g.mean()) ** 2))
@@ -256,5 +256,5 @@ def add_noise(sino: Sinogram, spec: NoiseSpec) -> Sinogram:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     z = rng.standard_normal(g.shape)
     noise_energy = float(np.sum((z - z.mean()) ** 2))
-    scale = math.sqrt(signal / (noise_energy * 10.0 ** (spec.target_snr_db / 10.0)))
+    scale = math.sqrt(signal / (noise_energy * 10.0 ** (spec.snr_db / 10.0)))
     return Sinogram(sino.geometry, g + scale * z)

@@ -42,8 +42,8 @@ class SinogramGeometry:
     def __post_init__(self):
         if self.n_angles < 1 or self.n_detectors < 2:
             raise ValueError("need n_angles >= 1 and n_detectors >= 2")
-        if not self.s_max > self.s_min:
-            raise ValueError("detector extent must be positive")
+        if not 0 < self.s_max - self.s_min < math.inf:
+            raise ValueError(f"detector extent [{self.s_min}, {self.s_max}] must be finite and positive")
 
     @property
     def hs(self) -> float:
@@ -85,6 +85,8 @@ class Sinogram:
 
 def make_parallel_geometry(grid: Grid2D, n_angles: int, n_detectors: int) -> SinogramGeometry:
     """Geometry whose detector extent covers the grid diagonal plus one cell."""
+    if n_detectors < 2:  # checked before the spacing divides by n_detectors - 1
+        raise ValueError(f"need n_detectors >= 2, got {n_detectors}")
     diag = math.hypot(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
     hs = diag / (n_detectors - 1)
     return SinogramGeometry(

@@ -6,7 +6,6 @@ import math
 import re
 import struct
 
-import numpy as np
 import pytest
 
 from tomoflow.cli import (
@@ -14,6 +13,8 @@ from tomoflow.cli import (
 )
 from tomoflow.experiments import SuiteCase
 from tomoflow.io import read_igrd, read_isin
+from tomoflow.phantom import NoiseSpec
+from tomoflow.tv import TVConfig
 
 CONFIG = """
 [phantom]
@@ -53,8 +54,43 @@ def test_config_parses(config_path):
     assert case.name == "run"
     assert case.grid.nx == case.grid.ny == 32
     assert case.cfg.n_steps == 5
-    assert case.noise_seed == 11
-    assert case.fbp_freq_scaling is None and case.tv_mu is None
+    assert case.noise == NoiseSpec(6.0, seed=11)
+    assert case.fbp_freq_scaling is None and case.tv is None
+
+
+def test_config_parses_baselines(tmp_path):
+    path = tmp_path / "baselines.ini"
+    path.write_text(CONFIG + "[fbp]\nfreq_scaling = 0.5\n\n[tv]\nmu = 2.0\n")
+    case = load_experiment_config(path)
+    assert case.fbp_freq_scaling == 0.5
+    assert case.tv == TVConfig(mu=2.0)
+    assert case.tv.n_iters == TVConfig.n_iters
+    path.write_text(CONFIG + "[tv]\nmu = 2.0\nn_iters = 7\n")
+    assert load_experiment_config(path).tv == TVConfig(mu=2.0, n_iters=7)
+
+
+def test_config_rejects_old_tv_iters_key(tmp_path):
+    path = tmp_path / "old.ini"
+    path.write_text(CONFIG + "[tv]\nmu = 2.0\niters = 7\n")
+    with pytest.raises(ConfigError, match=r"^unknown key 'iters' in section \[tv\]$"):
+        load_experiment_config(path)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("[output]", "[fbp]\nfreq_scaling = 1.5\n\n[output]"),
+    ("[output]", "[tv]\nmu = 0\n\n[output]"),
+    ("[output]", "[tv]\nmu = 1.0\nn_iters = 0\n\n[output]"),
+    ("size = 32", "size = 1"),
+    ("n_angles = 6", "n_angles = 0"),
+    ("n_detectors = 48", "n_detectors = 1"),
+])
+def test_register_rejects_out_of_range_setting(tmp_path, capsys, old, new):
+    path = tmp_path / "bad.ini"
+    path.write_text(CONFIG.replace(old, new))
+    out = tmp_path / "results"
+    assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -89,7 +125,7 @@ def test_register_command_outputs(tmp_path, config_path):
     assert (out / "objective.csv").exists()
     assert (out / "metrics.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["case"]["noise_seed"] == 11
+    assert manifest["case"]["noise"]["seed"] == 11
     assert len(manifest["config_sha256"]) == 64
     assert "numpy" in manifest["versions"]
     with open(out / "objective.csv") as fh:
@@ -107,7 +143,7 @@ def test_manifest_holds_the_case_record_it_hashes(tmp_path, config_path):
     assert set(manifest["case"]) == {f.name for f in dataclasses.fields(SuiteCase)}
     assert manifest["case"]["cfg"]["action"] == "geometric"
     assert manifest["case"]["template_kind"] == "single-star-template"
-    assert manifest["case"]["tv_mu"] is None
+    assert manifest["case"]["tv"] is None
 
 
 def test_register_rerun_is_bit_identical(tmp_path, config_path):
@@ -258,6 +294,33 @@ def test_phantom_project_noise_fbp_tv_evaluate_pipeline(tmp_path):
     with open(eval_path) as fh:
         row = next(csv.DictReader(fh))
     assert 0.0 < float(row["ssim"]) <= 1.0
+
+
+def test_project_rejects_one_detector(tmp_path, capsys):
+    phantom_path = tmp_path / "p.igrd"
+    sino_path = tmp_path / "p.isin"
+    assert main(["phantom", "--kind", "shepp-logan", "--size", "16", "--out", str(phantom_path)]) == EXIT_OK
+    rc = main(["project", "--image", str(phantom_path), "--angles", "4", "--detectors", "1",
+               "--out", str(sino_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.strip().splitlines() == ["error: need n_detectors >= 2, got 1"]
+    assert not sino_path.exists()
+
+
+def test_fbp_rejects_infinite_detector_extent(tmp_path, capsys):
+    phantom_path = tmp_path / "p.igrd"
+    sino_path = tmp_path / "p.isin"
+    assert main(["phantom", "--kind", "shepp-logan", "--size", "16", "--out", str(phantom_path)]) == EXIT_OK
+    assert main(["project", "--image", str(phantom_path), "--angles", "4", "--detectors", "24",
+                 "--out", str(sino_path)]) == EXIT_OK
+    raw = bytearray(sino_path.read_bytes())
+    raw[13:29] = struct.pack("<dd", -math.inf, math.inf)  # s_min, s_max after magic, version, sizes
+    sino_path.write_bytes(bytes(raw))
+    rec_path = tmp_path / "rec.igrd"
+    rc = main(["fbp", "--sinogram", str(sino_path), "--size", "16", "--out", str(rec_path)])
+    assert rc == EXIT_USAGE
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.igrd", "p.isin"]
 
 
 def test_unknown_phantom_kind_exit(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -36,6 +37,17 @@ def test_grid_rejects_tiny(nx, ny):
 def test_grid_rejects_bad_extent():
     with pytest.raises(ValueError):
         Grid2D(4, 4, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("extent", [
+    (-math.inf, 1.0, -1.0, 1.0),
+    (-1.0, math.inf, -1.0, 1.0),
+    (-1.0, 1.0, -math.inf, math.inf),
+    (-1.0, 1.0, math.nan, 1.0),
+])
+def test_grid_rejects_non_finite_extent(extent):
+    with pytest.raises(ValueError, match="finite"):
+        Grid2D(4, 4, *extent)
 
 
 def test_sample_identity_displacement(grid32):

@@ -1,5 +1,6 @@
 """The benchmark drives tomoflow by name: keep those names resolvable,
-and keep the calls per objective evaluation that it pins.
+and keep the calls per objective evaluation that it pins. Every name a
+tomoflow module imports is used.
 
 ``perfbench/worker.py`` calls the library as ``tf.X``,
 ``perfbench/tracer.py`` times the ``(module, function)`` pairs in
@@ -20,6 +21,7 @@ import tomoflow
 from conftest import gaussian_blob
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(tomoflow.__file__).resolve().parent
 
 
 def perfbench_constant(filename, name):
@@ -83,3 +85,39 @@ def test_calls_per_evaluation_match_the_benchmark_pins(action, monkeypatch):
     evals = counts["objective.evaluate_objective"]
     assert evals == cfg.max_iters + 1
     assert {key: n / evals for key, n in counts.items()} == expected
+
+
+def unused_imports(source):
+    """Names a module imports but never loads. Names in string annotations
+    and ``__all__`` entries count as used."""
+    tree = ast.parse(source)
+    quoted = [
+        ast.parse(node.value, mode="eval")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier()
+    ]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for root in [tree, *quoted] for node in ast.walk(root) if isinstance(node, ast.Name)}
+    used |= {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import os\nfrom a import b, c as d\nimport e.f\nd()\n") == ["b", "e", "os"]
+    assert unused_imports("from .x import y\n__all__ = ['y']\n") == []
+    assert unused_imports("from .x import Y\ndef f(a: 'Y'): pass\n") == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_uses_every_import(module):
+    assert unused_imports((SRC / module).read_text()) == []

@@ -30,6 +30,18 @@ def test_geometry_extent_covers_diagonal(grid64):
     assert centers[-1] == pytest.approx(diag / 2)
 
 
+def test_make_parallel_geometry_rejects_one_detector(grid32):
+    with pytest.raises(ValueError, match="n_detectors >= 2, got 1"):
+        make_parallel_geometry(grid32, 4, 1)
+
+
+@pytest.mark.parametrize("s_min,s_max", [(-math.inf, 1.0), (-1.0, math.inf), (-math.inf, math.inf),
+                                         (math.nan, 1.0)])
+def test_geometry_rejects_non_finite_extent(s_min, s_max):
+    with pytest.raises(ValueError, match="finite"):
+        SinogramGeometry(n_angles=4, n_detectors=8, s_min=s_min, s_max=s_max)
+
+
 def test_zero_image_zero_sinogram(grid32):
     geom = make_parallel_geometry(grid32, 6, 48)
     sino = ray_transform(ScalarImage.zeros(grid32), geom)
