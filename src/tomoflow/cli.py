@@ -96,11 +96,16 @@ def _parse_config(path) -> tuple[SuiteCase, str]:
         })
 
     size = need("phantom", "size", int)
+    grid = build("phantom", Grid2D, nx=size, ny=size)
+    # the geometry that run_case builds, so that its ranges are checked here
+    geom = build("geometry", make_parallel_geometry, grid=grid,
+                 n_angles=need("geometry", "n_angles", int),
+                 n_detectors=need("geometry", "n_detectors", int))
     case = SuiteCase(
         name=Path(path).stem,
-        grid=build("phantom", Grid2D, nx=size, ny=size),
-        n_angles=need("geometry", "n_angles", int),
-        n_detectors=need("geometry", "n_detectors", int),
+        grid=grid,
+        n_angles=geom.n_angles,
+        n_detectors=geom.n_detectors,
         template_kind=need("phantom", "template_kind", PhantomKind),
         target_kind=need("phantom", "target_kind", PhantomKind),
         noise=section_config("noise") if "noise" in parser else NoiseSpec(math.inf),

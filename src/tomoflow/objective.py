@@ -17,9 +17,10 @@ inject spurious forces.
 
 The velocity ``nu`` and its gradient are ``(N+1, 2, ny, nx)`` arrays
 (see ``flow``). Each evaluation allocates the flow chain's three
-``(N+1, ny, nx)`` arrays, and each gradient one new array shaped like
-``nu``; the moment and its smoothing are ``(2, ny, nx)`` temporaries of
-one time sample.
+``(N+1, ny, nx)`` arrays, and each gradient one array shaped like
+``nu``, which ``optimize.register`` reuses for the next iterate. Per
+time sample, the moment is built in the ``(2, ny, nx)`` array that
+``gradient`` returns and its smoothing is one more of that size.
 """
 
 from __future__ import annotations
@@ -84,8 +85,12 @@ def objective_gradient(nu: np.ndarray, chain: FlowChain, kernel: KernelSpec, gam
     grid = kernel.grid
     out = np.empty(nu.shape)
     for i, v in enumerate(nu):
-        moment = _zero_boundary_ring((chain.jacobian[i] * scaled[i]) * gradient(grid, differentiated[i]))
-        combine(2.0 * gamma * v, smooth(kernel, moment), out=out[i])
+        # the moment is built in the array gradient() returns: IEEE
+        # products commute exactly, so g * (A * s) equals (A * s) * g
+        moment = gradient(grid, differentiated[i])
+        moment *= chain.jacobian[i] * scaled[i]
+        np.multiply(v, 2.0 * gamma, out=out[i])
+        combine(out[i], smooth(kernel, _zero_boundary_ring(moment)), out=out[i])
     return out
 
 

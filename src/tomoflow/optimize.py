@@ -103,6 +103,12 @@ def register(
     takes one step. Stops on the gradient-norm tolerance, the iteration
     budget, or a numerical failure (non-positive Jacobian or non-finite
     field), in which case the last finite iterate is returned.
+
+    Between evaluations only the iterate, the last finite iterate, its
+    transported template and the histories stay alive: the chain's
+    Jacobian and back-propagated field are freed before the next chain
+    is built, and the next iterate is written into the gradient's
+    buffer, never into the last finite iterate.
     """
     if data.geometry != geom:
         raise ValueError("sinogram geometry does not match the requested geometry")
@@ -151,8 +157,10 @@ def register(
         if k == cfg.max_iters:
             return stop(StopReason.MAX_ITERS)
 
-        grad *= cfg.alpha  # the step, scaled in place: no third velocity-sized array
-        nu = nu - grad
+        del chain, deformed, grad_img  # free the Jacobian and back-propagated chains before the next build
+        grad *= cfg.alpha  # the step, scaled in place
+        # never into nu: it is the last finite iterate if the next evaluation fails
+        nu = np.subtract(nu, grad, out=grad)
         iterations = k + 1
 
     raise AssertionError("unreachable")

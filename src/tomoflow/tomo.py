@@ -40,8 +40,10 @@ class SinogramGeometry:
     s_max: float
 
     def __post_init__(self):
-        if self.n_angles < 1 or self.n_detectors < 2:
-            raise ValueError("need n_angles >= 1 and n_detectors >= 2")
+        if self.n_angles < 1:
+            raise ValueError(f"need n_angles >= 1, got {self.n_angles}")
+        if self.n_detectors < 2:
+            raise ValueError(f"need n_detectors >= 2, got {self.n_detectors}")
         if not 0 < self.s_max - self.s_min < math.inf:
             raise ValueError(f"detector extent [{self.s_min}, {self.s_max}] must be finite and positive")
 

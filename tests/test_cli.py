@@ -89,8 +89,12 @@ def test_register_rejects_out_of_range_setting(tmp_path, capsys, old, new):
     path.write_text(CONFIG.replace(old, new))
     out = tmp_path / "results"
     assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
     assert not out.exists()
+    if old.startswith("n_"):  # a [geometry] key: the line names its section and the bad value
+        value = new.split(" = ")[1]
+        assert err[0].startswith("config error: invalid [geometry] ") and err[0].endswith(f"got {value}")
 
 
 def test_config_rejects_unknown_key(tmp_path):

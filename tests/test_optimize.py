@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,18 +135,20 @@ def test_numerical_failure_reports_partial_history(problem32):
     assert res.stop_detail.startswith(f"iteration {res.iterations_run}:")
 
 
-def test_non_finite_geometric_jacobian_stops_at_that_iteration(problem32, monkeypatch):
+def assert_nan_jacobian_stops_at_iteration_2(problem32, monkeypatch, action, failing_call):
+    """A NaN written into the failing_call-th Jacobian step stops the run at
+    iteration 2, which returns the clean 1-iteration run bit for bit."""
     import tomoflow.flow as flow
 
     grid, geom, template, _, data = problem32
-    cfg = small_cfg(max_iters=10)  # n_steps = 5: steps i = 4..0 per evaluation
-    clean = register(template, data, geom, small_cfg(max_iters=1))
+    cfg = small_cfg(action=action, max_iters=10)
+    clean = register(template, data, geom, small_cfg(action=action, max_iters=1))
     real, calls = flow.jacobian_step, [0]
 
     def failing(*args):
         calls[0] += 1
         out = real(*args)
-        if calls[0] == 2 * cfg.n_steps + 3:  # the third evaluation's step i = 2
+        if calls[0] == failing_call:
             out[0, 0] = np.nan
         return out
 
@@ -157,6 +161,36 @@ def test_non_finite_geometric_jacobian_stops_at_that_iteration(problem32, monkey
     np.testing.assert_array_equal(res.final_velocity, clean.final_velocity)
     np.testing.assert_array_equal(np.asarray([f.values for f in res.trajectory]),
                                   np.asarray([f.values for f in clean.trajectory]))
+
+
+def test_non_finite_geometric_jacobian_stops_at_that_iteration(problem32, monkeypatch):
+    # n_steps = 5: the backward sweep takes steps i = 4..0 per evaluation,
+    # so call 2N + 3 is the third evaluation's step i = 2
+    assert_nan_jacobian_stops_at_iteration_2(problem32, monkeypatch, GroupAction.GEOMETRIC, 2 * 5 + 3)
+
+
+def test_non_finite_mass_preserving_jacobian_stops_at_that_iteration(problem32, monkeypatch):
+    # n_steps = 5: the forward sweep takes steps i = 1..5 per evaluation,
+    # so call 2N + 2 is the third evaluation's step i = 2, inside build_flow_chain
+    assert_nan_jacobian_stops_at_iteration_2(problem32, monkeypatch, GroupAction.MASS_PRESERVING, 2 * 5 + 2)
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_register_memory_is_bounded(problem32, action):
+    # between evaluations only the iterate, the last finite iterate and its
+    # transported template stay alive, and the next iterate reuses the
+    # gradient's buffer, so the peak stays near four velocity arrays
+    grid, geom, template, _, data = problem32
+    cfg = small_cfg(action=action, n_steps=20, max_iters=3)
+    register(template, data, geom, cfg)  # warm-up: the projector and its caches
+    tracemalloc.start()
+    try:
+        res = register(template, data, geom, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stop_reason is StopReason.MAX_ITERS
+    assert peak <= 5.0 * res.final_velocity.nbytes
 
 
 def test_progress_callback_sees_every_iteration(problem32):
