@@ -13,22 +13,21 @@ chains are kept instead of dense deformation maps, each one
   i = 1..N with A_0 = 1 (to time 0, mass-preserving action)
 * back-propagated field B_i = B_{i+1} o (Id + v_i/N),        i = N-1..0
 
-The pulls run in two sweeps. Each step builds one characteristic (the
-corner indices and bilinear weights of the feet x +- v_i(x)/N, see
-``grid.characteristics``) and both chains that step with the same sign
-pull through it:
+One routine runs both sweeps along Id + sign v_i/N: each step builds
+one characteristic (the corner indices and bilinear weights of the feet
+x + sign v_i(x)/N, see ``grid.characteristics``), and both chains that
+step with that sign pull through it:
 
-* ``build_flow_chain``, the forward sweep (Id - v_i/N): the transported
-  template and, for the mass-preserving action, the Jacobian to time 0;
-* ``attach_backprop_field``, the backward sweep (Id + v_i/N): the
-  back-propagated field and, for the geometric action, the Jacobian to
-  time 1, which only the gradient reads.
+* ``build_flow_chain``, the forward sweep (sign -1, i = 1..N): the
+  transported template and the mass-preserving Jacobian to time 0;
+* ``attach_backprop_field``, the backward sweep (sign +1, i = N-1..0):
+  the back-propagated field and the geometric Jacobian to time 1.
 
-For the geometric action the forward sweep still checks every step
-factor of the Jacobian to time 1, so a too-large velocity fails while
-the objective is evaluated. ``build_flow_chain`` allocates all three
-arrays afresh for each evaluation. Nothing is shared between
-evaluations, so an earlier chain stays valid after a later one fails.
+Before any pull, ``build_flow_chain`` checks every step factor of the
+action's Jacobian, so for either action a too-large velocity fails while
+the objective is evaluated. Each sweep allocates the arrays it fills.
+Nothing is shared between evaluations, so an earlier chain stays valid
+after a later one fails.
 """
 
 from __future__ import annotations
@@ -54,18 +53,13 @@ class FlowStabilityError(RuntimeError):
     (1/N) * velocity magnitude is too coarse for the current field."""
 
 
-def step_characteristic(grid: Grid2D, v_i: np.ndarray, n_steps: int, sign: float) -> Characteristic:
-    """Feet of the small-displacement step Id + sign v_i/N."""
-    return characteristics(grid, (sign / n_steps) * v_i)
-
-
 def jacobian_step(
     grid: Grid2D, jac: np.ndarray, v_i: np.ndarray, feet: Characteristic, n_steps: int, sign: float
 ) -> np.ndarray:
     """One step of the Jacobian recursion: (1 + sign div v_i/N) * jac o (Id + sign v_i/N).
 
-    ``feet`` is the step's characteristic, ``step_characteristic(grid,
-    v_i, n_steps, sign)``. sign = +1 steps the Jacobian to time 1
+    ``feet`` is the step's characteristic, ``characteristics(grid,
+    (sign / N) * v_i)``. sign = +1 steps the Jacobian to time 1
     backwards, -1 the Jacobian to time 0 forwards.
     """
     moved = sample_bilinear(grid, jac, feet)
@@ -79,38 +73,27 @@ class FlowChain:
 
     Each is an (N+1, ny, nx) array whose slice i refers to time t_i = i/N.
     ``jacobian`` runs to time 1 for the geometric action and to time 0
-    for the mass-preserving one; ``action`` records which. All three are
-    allocated with the chain. ``build_flow_chain`` fills
-    ``transported_template`` and the mass-preserving ``jacobian``;
-    ``attach_backprop_field`` fills ``backprop_field`` and the geometric
-    ``jacobian``, which until then holds no values.
+    for the mass-preserving one; ``action`` records which. Each array is
+    set by the sweep that computes it, and is None until then.
     """
 
     grid: Grid2D
     action: GroupAction
     transported_template: np.ndarray
-    jacobian: np.ndarray
-    backprop_field: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.transported_template) - 1
+    jacobian: np.ndarray | None = None
+    backprop_field: np.ndarray | None = None
 
 
 def build_flow_chain(template: ScalarImage, nu: np.ndarray, action: GroupAction) -> FlowChain:
-    """Run the forward sweep for the field nu.
+    """Check every step factor of the action's Jacobian, in that
+    Jacobian's sweep order, then run the forward sweep for the field nu.
 
-    Fills the transported template and, for the mass-preserving action,
-    the Jacobian to time 0. For the geometric action it checks the step
-    factors of the Jacobian to time 1 (i = N-1..0), which
-    ``attach_backprop_field`` builds.
-
-    Raises FlowStabilityError when a per-step determinant factor
-    1 +- div(v)/N leaves the positive range (the step-size stability
-    regime) or a Jacobian image stops being finite; no clamping is done.
-    Sampling outside the domain can still pull zeros into a Jacobian
-    image near the boundary; that is the zero-extension convention, not
-    an instability.
+    Raises FlowStabilityError, before any pull, when a per-step
+    determinant factor 1 +- div(v)/N leaves the positive range (the
+    step-size stability regime), and later when a Jacobian image stops
+    being finite; no clamping is done. Sampling outside the domain can
+    still pull zeros into a Jacobian image near the boundary; that is
+    the zero-extension convention, not an instability.
     """
     grid = template.grid
     n = len(nu) - 1
@@ -118,50 +101,57 @@ def build_flow_chain(template: ScalarImage, nu: np.ndarray, action: GroupAction)
         raise ValueError("need at least 2 time samples (n_steps >= 1)")
     if nu.shape != (n + 1, 2) + grid.shape:
         raise GridMismatchError(f"velocity shape {nu.shape} does not match template grid {grid.shape}")
-    shape = (n + 1,) + grid.shape
     mass = action is GroupAction.MASS_PRESERVING
-    if not mass:
-        for i in range(n - 1, -1, -1):
-            _check_step_factor(grid, nu[i], n, 1.0, i)
-
-    transported = np.empty(shape)
-    transported[0] = template.values
-    jac = np.empty(shape)
-    if mass:
-        jac[0] = 1.0
-    for i in range(1, n + 1):
-        feet = step_characteristic(grid, nu[i], n, -1.0)
-        transported[i] = sample_bilinear(grid, transported[i - 1], feet)
-        if mass:
-            _check_step_factor(grid, nu[i], n, -1.0, i)
-            jac[i] = jacobian_step(grid, jac[i - 1], nu[i], feet, n, -1.0)
-            _check_finite(jac[i], i)
-    return FlowChain(grid, action, transported, jac, np.empty(shape))
+    jac_sign = -1.0 if mass else 1.0
+    for i in _steps(n, jac_sign):
+        _check_step_factor(grid, nu[i], n, jac_sign, i)
+    transported, jac = _sweep(grid, nu, template.values, -1.0, mass)
+    return FlowChain(grid, action, transported, jac)
 
 
 def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage, nu: np.ndarray) -> None:
-    """Run the backward sweep: fill chain.backprop_field with grad_image
-    composed to each time and, for the geometric action, the Jacobian to
-    time 1.
+    """Run the backward sweep: set chain.backprop_field to grad_image
+    composed to each time and, for the geometric action, chain.jacobian
+    to the Jacobian to time 1.
 
     Raises FlowStabilityError when a geometric Jacobian image stops being
     finite.
     """
-    n = chain.n_steps
-    if len(nu) != n + 1:
+    if len(nu) != len(chain.transported_template):
         raise ValueError("chain and velocity field disagree on n_steps")
-    grid = chain.grid
     geometric = chain.action is GroupAction.GEOMETRIC
-    back, jac = chain.backprop_field, chain.jacobian
-    back[n] = grad_image.values
+    chain.backprop_field, jac = _sweep(chain.grid, nu, grad_image.values, 1.0, geometric)
     if geometric:
-        jac[n] = 1.0
-    for i in range(n - 1, -1, -1):
-        feet = step_characteristic(grid, nu[i], n, 1.0)
-        back[i] = sample_bilinear(grid, back[i + 1], feet)
-        if geometric:
-            jac[i] = jacobian_step(grid, jac[i + 1], nu[i], feet, n, 1.0)
+        chain.jacobian = jac
+
+
+def _steps(n_steps: int, sign: float) -> range:
+    """The step indices of a sweep along Id + sign v_i/N, in order."""
+    return range(1, n_steps + 1) if sign < 0 else range(n_steps - 1, -1, -1)
+
+
+def _sweep(
+    grid: Grid2D, nu: np.ndarray, start: np.ndarray, sign: float, with_jacobian: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pull ``start`` along Id + sign v_i/N into a fresh chain; slice 0
+    (sign -1) or N (sign +1) is ``start``. ``with_jacobian`` also steps
+    a Jacobian from 1 through the same feet; otherwise it is None."""
+    n = len(nu) - 1
+    shape = (n + 1,) + grid.shape
+    first, prev = (0, -1) if sign < 0 else (n, 1)  # slice i pulls slice i + prev
+    chain = np.empty(shape)
+    chain[first] = start
+    jac = None
+    if with_jacobian:
+        jac = np.empty(shape)
+        jac[first] = 1.0
+    for i in _steps(n, sign):
+        feet = characteristics(grid, (sign / n) * nu[i])
+        chain[i] = sample_bilinear(grid, chain[i + prev], feet)
+        if jac is not None:
+            jac[i] = jacobian_step(grid, jac[i + prev], nu[i], feet, n, sign)
             _check_finite(jac[i], i)
+    return chain, jac
 
 
 def _step_factor(grid: Grid2D, v: np.ndarray, n_steps: int, sign: float) -> np.ndarray:

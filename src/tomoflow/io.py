@@ -1,10 +1,11 @@
 """File formats: IGRD grids, ISIN sinograms, 16-bit PGM previews, manifests.
 
-Both binary formats are little-endian. IGRD: magic "IGRD", version byte
-1, u32 nx, u32 ny, f64 x_min/x_max/y_min/y_max, then nx*ny f64 values
-row-major (y outer). ISIN: magic "ISIN", version byte 1, u32 n_angles,
-u32 n_detectors, f64 s_min/s_max, then angle-major f64 values: the whole
-``SinogramGeometry``. Readers reject truncated files and non-finite values.
+Both binary formats are one little-endian container: a magic, version
+byte 1, two u32 sizes, f64 extents, then the f64 values. IGRD: magic
+"IGRD", nx, ny, x_min/x_max/y_min/y_max, then nx*ny values row-major
+(y outer). ISIN: magic "ISIN", n_angles, n_detectors, s_min/s_max, then
+angle-major values: the whole ``SinogramGeometry``. Readers reject
+truncated files and non-finite values.
 """
 
 from __future__ import annotations
@@ -23,66 +24,55 @@ ISIN_MAGIC = b"ISIN"
 FORMAT_VERSION = 1
 
 
-def _read_header(fh, path, kind: str, fmt: str) -> tuple:
-    raw = fh.read(struct.calcsize(fmt))
-    if len(raw) != struct.calcsize(fmt):
-        raise ValueError(f"{path}: truncated {kind} header")
-    return struct.unpack(fmt, raw)
+def _write_container(path, magic: bytes, sizes: tuple, extents: tuple, values: np.ndarray) -> None:
+    header = magic + struct.pack(f"<BII{len(extents)}d", FORMAT_VERSION, *sizes, *extents)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
-def _read_payload(fh, path, kind: str, count: int) -> np.ndarray:
-    """``count`` finite f64 values. The bytes left in the file are checked
-    first, so a header's declared size is never trusted."""
-    if 8 * count > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError(f"{path}: truncated {kind} payload")
-    data = np.frombuffer(fh.read(8 * count), dtype="<f8")
+def _read_container(path, magic: bytes, n_extents: int) -> tuple:
+    """The two sizes, the extents and the flat payload of ``size0 * size1``
+    finite f64 values. The bytes left in the file are checked before the
+    payload is read, so a header's declared size is never trusted."""
+    kind = magic.decode("ascii")
+    fmt = f"<BII{n_extents}d"
+    with open(path, "rb") as fh:
+        found = fh.read(4)
+        if found != magic:
+            raise ValueError(f"{path}: not an {kind} file (magic {found!r})")
+        raw = fh.read(struct.calcsize(fmt))
+        if len(raw) != struct.calcsize(fmt):
+            raise ValueError(f"{path}: truncated {kind} header")
+        version, size0, size1, *extents = struct.unpack(fmt, raw)
+        if version != FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported {kind} version {version}")
+        if 8 * size0 * size1 > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError(f"{path}: truncated {kind} payload")
+        data = np.frombuffer(fh.read(8 * size0 * size1), dtype="<f8")
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in {kind} payload")
-    return data
+    return (size0, size1), extents, data
 
 
 def write_igrd(path, img: ScalarImage) -> None:
     g = img.grid
-    header = IGRD_MAGIC + struct.pack(
-        "<BIIdddd", FORMAT_VERSION, g.nx, g.ny, g.x_min, g.x_max, g.y_min, g.y_max
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(img.values, dtype="<f8").tobytes())
+    _write_container(path, IGRD_MAGIC, (g.nx, g.ny), (g.x_min, g.x_max, g.y_min, g.y_max), img.values)
 
 
 def read_igrd(path) -> ScalarImage:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != IGRD_MAGIC:
-            raise ValueError(f"{path}: not an IGRD file (magic {magic!r})")
-        version, nx, ny, x_min, x_max, y_min, y_max = _read_header(fh, path, "IGRD", "<BIIdddd")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported IGRD version {version}")
-        data = _read_payload(fh, path, "IGRD", nx * ny)
+    (nx, ny), (x_min, x_max, y_min, y_max), data = _read_container(path, IGRD_MAGIC, 4)
     grid = Grid2D(nx=nx, ny=ny, x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
     return ScalarImage(grid, data.reshape(ny, nx).copy())
 
 
 def write_isin(path, sino: Sinogram) -> None:
-    geom = sino.geometry
-    header = ISIN_MAGIC + struct.pack(
-        "<BIIdd", FORMAT_VERSION, geom.n_angles, geom.n_detectors, geom.s_min, geom.s_max
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(sino.values, dtype="<f8").tobytes())
+    g = sino.geometry
+    _write_container(path, ISIN_MAGIC, (g.n_angles, g.n_detectors), (g.s_min, g.s_max), sino.values)
 
 
 def read_isin(path) -> Sinogram:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != ISIN_MAGIC:
-            raise ValueError(f"{path}: not an ISIN file (magic {magic!r})")
-        version, m, p, s_min, s_max = _read_header(fh, path, "ISIN", "<BIIdd")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported ISIN version {version}")
-        data = _read_payload(fh, path, "ISIN", m * p)
+    (m, p), (s_min, s_max), data = _read_container(path, ISIN_MAGIC, 2)
     geom = SinogramGeometry(n_angles=m, n_detectors=p, s_min=s_min, s_max=s_max)
     return Sinogram(geom, data.reshape(m, p).copy())
 

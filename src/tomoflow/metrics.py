@@ -23,12 +23,11 @@ def _window() -> np.ndarray:
     return w / w.sum()
 
 
-def ssim(a: ScalarImage, b: ScalarImage, dynamic_range: float = 1.0) -> float:
-    """Mean local structural similarity (11x11 Gaussian window, sigma 1.5)."""
+def ssim(a: ScalarImage, b: ScalarImage) -> float:
+    """Mean local structural similarity (11x11 Gaussian window, sigma 1.5,
+    dynamic range 1)."""
     if a.grid != b.grid:
         raise GridMismatchError("ssim needs both images on one grid")
-    if dynamic_range <= 0:
-        raise ValueError("dynamic_range must be > 0")
     if min(a.grid.nx, a.grid.ny) < _WINDOW_SIZE:
         raise ValueError(f"images must be at least {_WINDOW_SIZE} pixels on each side")
     x = a.values
@@ -39,23 +38,21 @@ def ssim(a: ScalarImage, b: ScalarImage, dynamic_range: float = 1.0) -> float:
     var_x = fftconvolve(x * x, w, mode="valid") - mu_x * mu_x
     var_y = fftconvolve(y * y, w, mode="valid") - mu_y * mu_y
     cov = fftconvolve(x * y, w, mode="valid") - mu_x * mu_y
-    c1 = (_K1 * dynamic_range) ** 2
-    c2 = (_K2 * dynamic_range) ** 2
+    c1 = _K1**2
+    c2 = _K2**2
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return float(np.mean(num / den))
 
 
-def psnr(a: ScalarImage, ref: ScalarImage, dynamic_range: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; +inf for identical images."""
+def psnr(a: ScalarImage, ref: ScalarImage) -> float:
+    """Peak signal-to-noise ratio in dB at peak 1; +inf for identical images."""
     if a.grid != ref.grid:
         raise GridMismatchError("psnr needs both images on one grid")
-    if dynamic_range <= 0:
-        raise ValueError("dynamic_range must be > 0")
     mse = float(np.mean((a.values - ref.values) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(dynamic_range**2 / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def measure_snr(ideal: Sinogram, noisy: Sinogram) -> float:

@@ -8,23 +8,27 @@ from tomoflow.flow import (
     attach_backprop_field,
     build_flow_chain,
     jacobian_step,
-    step_characteristic,
 )
-from tomoflow.grid import sample_bilinear
+from tomoflow.grid import characteristics, sample_bilinear
+
+
+def step_feet(grid, v_i, n_steps, sign):
+    """Feet of the small-displacement step Id + sign v_i/N."""
+    return characteristics(grid, (sign / n_steps) * v_i)
 
 
 def advance_transported_template(grid, prev, v_i, n_steps):
     """One forward pull: prev sampled at x - v_i(x)/N."""
-    return sample_bilinear(grid, prev, step_characteristic(grid, v_i, n_steps, -1.0))
+    return sample_bilinear(grid, prev, step_feet(grid, v_i, n_steps, -1.0))
 
 
 def backpropagate_field(grid, nxt, v_i, n_steps):
     """One backward pull: nxt sampled at x + v_i(x)/N."""
-    return sample_bilinear(grid, nxt, step_characteristic(grid, v_i, n_steps, 1.0))
+    return sample_bilinear(grid, nxt, step_feet(grid, v_i, n_steps, 1.0))
 
 
 def jacobian_by_steps(grid, jac, v_i, n_steps, sign):
-    return jacobian_step(grid, jac, v_i, step_characteristic(grid, v_i, n_steps, sign), n_steps, sign)
+    return jacobian_step(grid, jac, v_i, step_feet(grid, v_i, n_steps, sign), n_steps, sign)
 
 
 def full_chain(template, nu, action):
@@ -233,11 +237,33 @@ def test_flow_stability_error_on_violent_field(grid16, action):
     geometric = action is GroupAction.GEOMETRIC
     v = (-50.0 if geometric else 50.0) * dilation_field(grid16)
     nu = time_constant(v, 3)
-    # the geometric Jacobian is built by the backward sweep, but its step
-    # factors are checked by the forward one, from i = N-1 down
+    # build_flow_chain checks each action's step factors before any pull,
+    # in its Jacobian's sweep order: i = N-1 down to time 1 (geometric),
+    # i = 1 up to time 0 (mass-preserving)
     index = 2 if geometric else 1
     with pytest.raises(FlowStabilityError, match=f"at time index {index};"):
         build_flow_chain(ScalarImage.full(grid16, 1.0), nu, action)
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_unstable_step_fails_before_any_pull(grid16, action, monkeypatch):
+    import tomoflow.flow as flow
+
+    # only slice N-1, which both actions' Jacobians step through, is violent
+    n = 6
+    scale = -50.0 if action is GroupAction.GEOMETRIC else 50.0
+    nu = np.zeros((n + 1, 2) + grid16.shape)
+    nu[n - 1] = scale * dilation_field(grid16)
+    real, calls = flow.sample_bilinear, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(flow, "sample_bilinear", counted)
+    with pytest.raises(FlowStabilityError, match=f"at time index {n - 1};"):
+        build_flow_chain(ScalarImage.full(grid16, 1.0), nu, action)
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("action", list(GroupAction))

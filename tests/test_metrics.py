@@ -39,16 +39,20 @@ def test_ssim_symmetry(grid32):
     assert abs(ssim(a, b) - ssim(b, a)) <= 1e-12
 
 
-def test_ssim_affine_rescale_invariance(grid32):
+def test_ssim_affine_rescale_invariance(grid32, monkeypatch):
+    import tomoflow.metrics as metrics
+
     rng = np.random.default_rng(2)
     a = ScalarImage(grid32, rng.uniform(0, 1, grid32.shape))
     b = ScalarImage(grid32, rng.uniform(0, 1, grid32.shape))
-    base = ssim(a, b, dynamic_range=1.0)
+    base = ssim(a, b)
     a2 = ScalarImage(grid32, 3.0 * a.values)
     b2 = ScalarImage(grid32, 3.0 * b.values)
-    # pure scaling with matching dynamic range; the additive constants C1,
-    # C2 scale along, so the score is unchanged
-    assert ssim(a2, b2, dynamic_range=3.0) == pytest.approx(base, abs=1e-10)
+    # pure scaling with matching dynamic range: C1 = (K1 L)^2 and
+    # C2 = (K2 L)^2 at L = 3 scale along, so the score is unchanged
+    monkeypatch.setattr(metrics, "_K1", metrics._K1 * 3.0)
+    monkeypatch.setattr(metrics, "_K2", metrics._K2 * 3.0)
+    assert ssim(a2, b2) == pytest.approx(base, abs=1e-10)
 
 
 def test_ssim_grid_mismatch(grid16, grid32):

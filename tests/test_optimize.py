@@ -193,7 +193,7 @@ def test_register_memory_is_bounded(problem32, action):
     assert peak <= 5.0 * res.final_velocity.nbytes
 
 
-def test_progress_callback_sees_every_iteration(problem32):
+def test_every_iteration_records_objective_and_grad_norm(problem32):
     grid, geom, template, _, data = problem32
     res = register(template, data, geom, small_cfg(max_iters=3))
     assert len(res.grad_norms) == len(res.objective_history) == 4
