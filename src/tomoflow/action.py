@@ -29,7 +29,4 @@ class GroupAction(enum.Enum):
 
 def deform(chain: "FlowChain") -> ScalarImage:
     """Final deformed template of a flow chain, under the chain's action."""
-    final = chain.transported_template[-1]
-    if chain.action is GroupAction.MASS_PRESERVING:
-        final = chain.jacobian[-1] * final
-    return ScalarImage(chain.grid, final)
+    return ScalarImage(chain.grid, chain.transported_template[-1])

@@ -3,8 +3,7 @@
 A velocity is one ``(N+1, 2, ny, nx)`` array ``nu``; ``nu[i]`` is the
 field at time t_i = i/N (component 0 along x). Per-step deformations are
 the small-displacement approximations Id +- (1/N) nu[i]. Three scalar
-chains are kept instead of dense deformation maps, each one
-``(N+1, ny, nx)`` array filled slice by slice:
+recursions are stepped instead of dense deformation maps:
 
 * transported template  J_i = J_{i-1} o (Id - v_i/N),        i = 1..N
 * Jacobian              A_i = (1 + div v_i/N) A_{i+1} o (Id + v_i/N),
@@ -13,19 +12,22 @@ chains are kept instead of dense deformation maps, each one
   i = 1..N with A_0 = 1 (to time 0, mass-preserving action)
 * back-propagated field B_i = B_{i+1} o (Id + v_i/N),        i = N-1..0
 
+Two chains are stored, each one ``(N+1, ny, nx)`` array filled slice by
+slice, with the Jacobian folded into the one the action weights: the
+forward chain holds J (geometric) or A J (mass-preserving), the template
+under the action; the backward chain holds A B (geometric) or B.
+
 One routine runs both sweeps along Id + sign v_i/N: each step builds
 one characteristic (the corner indices and bilinear weights of the feet
-x + sign v_i(x)/N, see ``grid.characteristics``), and both chains that
-step with that sign pull through it:
+x + sign v_i(x)/N, see ``grid.characteristics``), and the image and
+the Jacobian that step with that sign pull through it:
 
-* ``build_flow_chain``, the forward sweep (sign -1, i = 1..N): the
-  transported template and the mass-preserving Jacobian to time 0;
-* ``attach_backprop_field``, the backward sweep (sign +1, i = N-1..0):
-  the back-propagated field and the geometric Jacobian to time 1.
+* ``build_flow_chain``, the forward sweep (sign -1, i = 1..N);
+* ``attach_backprop_field``, the backward sweep (sign +1, i = N-1..0).
 
 Before any pull, ``build_flow_chain`` checks every step factor of the
 action's Jacobian, so for either action a too-large velocity fails while
-the objective is evaluated. Each sweep allocates the arrays it fills.
+the objective is evaluated. Each sweep allocates the chain it fills.
 Nothing is shared between evaluations, so an earlier chain stays valid
 after a later one fails.
 """
@@ -69,18 +71,17 @@ def jacobian_step(
 
 @dataclass
 class FlowChain:
-    """The three scalar chains of one flow evaluation.
+    """The two scalar chains of one flow evaluation.
 
-    Each is an (N+1, ny, nx) array whose slice i refers to time t_i = i/N.
-    ``jacobian`` runs to time 1 for the geometric action and to time 0
-    for the mass-preserving one; ``action`` records which. Each array is
-    set by the sweep that computes it, and is None until then.
+    Each is an (N+1, ny, nx) array whose slice i refers to time t_i = i/N;
+    ``action`` says which one carries the Jacobian (see the module
+    docstring). ``transported_template[-1]`` is the deformed template.
+    ``backprop_field`` is None until ``attach_backprop_field`` sets it.
     """
 
     grid: Grid2D
     action: GroupAction
     transported_template: np.ndarray
-    jacobian: np.ndarray | None = None
     backprop_field: np.ndarray | None = None
 
 
@@ -105,14 +106,13 @@ def build_flow_chain(template: ScalarImage, nu: np.ndarray, action: GroupAction)
     jac_sign = -1.0 if mass else 1.0
     for i in _steps(n, jac_sign):
         _check_step_factor(grid, nu[i], n, jac_sign, i)
-    transported, jac = _sweep(grid, nu, template.values, -1.0, mass)
-    return FlowChain(grid, action, transported, jac)
+    return FlowChain(grid, action, _sweep(grid, nu, template.values, -1.0, mass))
 
 
 def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage, nu: np.ndarray) -> None:
     """Run the backward sweep: set chain.backprop_field to grad_image
-    composed to each time and, for the geometric action, chain.jacobian
-    to the Jacobian to time 1.
+    composed to each time, times the Jacobian to time 1 for the
+    geometric action.
 
     Raises FlowStabilityError when a geometric Jacobian image stops being
     finite.
@@ -120,9 +120,7 @@ def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage, nu: np.ndar
     if len(nu) != len(chain.transported_template):
         raise ValueError("chain and velocity field disagree on n_steps")
     geometric = chain.action is GroupAction.GEOMETRIC
-    chain.backprop_field, jac = _sweep(chain.grid, nu, grad_image.values, 1.0, geometric)
-    if geometric:
-        chain.jacobian = jac
+    chain.backprop_field = _sweep(chain.grid, nu, grad_image.values, 1.0, geometric)
 
 
 def _steps(n_steps: int, sign: float) -> range:
@@ -132,26 +130,25 @@ def _steps(n_steps: int, sign: float) -> range:
 
 def _sweep(
     grid: Grid2D, nu: np.ndarray, start: np.ndarray, sign: float, with_jacobian: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """Pull ``start`` along Id + sign v_i/N into a fresh chain; slice 0
     (sign -1) or N (sign +1) is ``start``. ``with_jacobian`` also steps
-    a Jacobian from 1 through the same feet; otherwise it is None."""
+    a Jacobian from 1 through the same feet and stores its product with
+    each pulled image."""
     n = len(nu) - 1
-    shape = (n + 1,) + grid.shape
-    first, prev = (0, -1) if sign < 0 else (n, 1)  # slice i pulls slice i + prev
-    chain = np.empty(shape)
-    chain[first] = start
-    jac = None
-    if with_jacobian:
-        jac = np.empty(shape)
-        jac[first] = 1.0
+    chain = np.empty((n + 1,) + grid.shape)
+    chain[0 if sign < 0 else n] = start
+    pulled, jac = start, np.ones(grid.shape)
     for i in _steps(n, sign):
         feet = characteristics(grid, (sign / n) * nu[i])
-        chain[i] = sample_bilinear(grid, chain[i + prev], feet)
-        if jac is not None:
-            jac[i] = jacobian_step(grid, jac[i + prev], nu[i], feet, n, sign)
-            _check_finite(jac[i], i)
-    return chain, jac
+        pulled = sample_bilinear(grid, pulled, feet)
+        if with_jacobian:
+            jac = jacobian_step(grid, jac, nu[i], feet, n, sign)
+            _check_finite(jac, i)
+            np.multiply(jac, pulled, out=chain[i])
+        else:
+            chain[i] = pulled
+    return chain
 
 
 def _step_factor(grid: Grid2D, v: np.ndarray, n_steps: int, sign: float) -> np.ndarray:

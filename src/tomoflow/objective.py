@@ -11,12 +11,14 @@ pointwise moment field with the reproducing kernel:
 * mass-preserving:  m_i = |Dphi_{t_i,0}| * (I o phi_{t_i,0}) * grad(gradL o phi_{t_i,1})
                     gradE_i = 2 gamma v_i + smooth(m_i)
 
-where gradL(f) = 2 T*(T(f) - g). The moment field is zeroed on the
-one-pixel boundary ring where one-sided differences would otherwise
-inject spurious forces.
+where gradL(f) = 2 T*(T(f) - g). Each action's Jacobian is folded into
+one of the flow chain's two arrays (see ``flow``), so either moment is
+the gradient of the chain without the Jacobian times the chain with it.
+The moment field is zeroed on the one-pixel boundary ring where
+one-sided differences would otherwise inject spurious forces.
 
 The velocity ``nu`` and its gradient are ``(N+1, 2, ny, nx)`` arrays
-(see ``flow``). Each evaluation allocates the flow chain's three
+(see ``flow``). Each evaluation allocates the flow chain's two
 ``(N+1, ny, nx)`` arrays, and each gradient one array shaped like
 ``nu``, which ``optimize.register`` reuses for the next iterate. Per
 time sample, the moment is built in the ``(2, ny, nx)`` array that
@@ -77,7 +79,7 @@ def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
 
 def objective_gradient(nu: np.ndarray, chain: FlowChain, kernel: KernelSpec, gamma: float) -> np.ndarray:
     """Velocity gradient of E, a fresh array shaped like nu; the chain's
-    action picks the moment field and its sign."""
+    action picks which array is differentiated and the moment's sign."""
     if chain.action is GroupAction.GEOMETRIC:
         scaled, differentiated, combine = chain.backprop_field, chain.transported_template, np.subtract
     else:
@@ -85,10 +87,9 @@ def objective_gradient(nu: np.ndarray, chain: FlowChain, kernel: KernelSpec, gam
     grid = kernel.grid
     out = np.empty(nu.shape)
     for i, v in enumerate(nu):
-        # the moment is built in the array gradient() returns: IEEE
-        # products commute exactly, so g * (A * s) equals (A * s) * g
+        # the moment is built in the array gradient() returns
         moment = gradient(grid, differentiated[i])
-        moment *= chain.jacobian[i] * scaled[i]
+        moment *= scaled[i]
         np.multiply(v, 2.0 * gamma, out=out[i])
         combine(out[i], smooth(kernel, _zero_boundary_ring(moment)), out=out[i])
     return out

@@ -46,6 +46,8 @@ class RegistrationConfig:
     action: GroupAction = GroupAction.GEOMETRIC
 
     def __post_init__(self):
+        # a value such as "geometric" becomes its member; unknown values raise ValueError
+        object.__setattr__(self, "action", GroupAction(self.action))
         # written as "not x >= 0" so that NaN fails every check
         if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
@@ -65,13 +67,12 @@ class RegistrationConfig:
 class RegistrationResult:
     """Outcome of ``register``.
 
-    ``trajectory[i]`` is the transported template J_i of the last
-    finite iterate at time t_i = i/N (see ``flow``). For the geometric
-    action ``trajectory[-1]`` is the deformed template. For the
-    mass-preserving action it is not: it lacks the Jacobian factor that
-    ``action.deform`` multiplies in, so it is not the image whose
-    projection the data term compares with the data. The images are
-    views into that iterate's transported-template array.
+    ``trajectory[i]`` is the template under the action at time t_i = i/N
+    for the last finite iterate: the transported template J_i, times the
+    Jacobian to time 0 for the mass-preserving action (see ``flow``).
+    For either action ``trajectory[-1]`` is the deformed template, the
+    image whose projection the data term compares with the data. The
+    images are views into that iterate's transported-template array.
 
     ``final_velocity`` is the last finite iterate as an
     ``(N+1, 2, ny, nx)`` array. ``grad_norms[k]`` is the velocity norm of
@@ -98,7 +99,7 @@ def register(
 ) -> RegistrationResult:
     """Minimize E by fixed-step gradient descent from a zero velocity field.
 
-    Each iteration rebuilds the transported-template, Jacobian and
+    Each iteration rebuilds the transported-template and
     back-propagation chains, assembles the kernel-smoothed gradient and
     takes one step. Stops on the gradient-norm tolerance, the iteration
     budget, or a numerical failure (non-positive Jacobian or non-finite
@@ -106,9 +107,9 @@ def register(
 
     Between evaluations only the iterate, the last finite iterate, its
     transported template and the histories stay alive: the chain's
-    Jacobian and back-propagated field are freed before the next chain
-    is built, and the next iterate is written into the gradient's
-    buffer, never into the last finite iterate.
+    back-propagated field is freed before the next chain is built, and
+    the next iterate is written into the gradient's buffer, never into
+    the last finite iterate.
     """
     if data.geometry != geom:
         raise ValueError("sinogram geometry does not match the requested geometry")
@@ -157,7 +158,7 @@ def register(
         if k == cfg.max_iters:
             return stop(StopReason.MAX_ITERS)
 
-        del chain, deformed, grad_img  # free the Jacobian and back-propagated chains before the next build
+        del chain, deformed, grad_img  # free the back-propagated chain before the next build
         grad *= cfg.alpha  # the step, scaled in place
         # never into nu: it is the last finite iterate if the next evaluation fails
         nu = np.subtract(nu, grad, out=grad)

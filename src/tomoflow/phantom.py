@@ -137,7 +137,7 @@ def _rasterize_ellipses(grid: Grid2D, ellipses) -> ScalarImage:
     return ScalarImage(grid, pooled)
 
 
-def _warped_ellipses(amplitude: float = WARP_AMPLITUDE):
+def _warped_ellipses():
     out = []
     for (val, a, b, x0, y0, ang), (dx, dy, da, db, dang) in zip(
         SHEPP_LOGAN_ELLIPSES, SHEPP_LOGAN_WARP
@@ -145,11 +145,11 @@ def _warped_ellipses(amplitude: float = WARP_AMPLITUDE):
         out.append(
             (
                 val,
-                a + amplitude * da,
-                b + amplitude * db,
-                x0 + amplitude * dx,
-                y0 + amplitude * dy,
-                ang + amplitude * dang,
+                a + WARP_AMPLITUDE * da,
+                b + WARP_AMPLITUDE * db,
+                x0 + WARP_AMPLITUDE * dx,
+                y0 + WARP_AMPLITUDE * dy,
+                ang + WARP_AMPLITUDE * dang,
             )
         )
     return tuple(out)

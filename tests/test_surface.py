@@ -1,6 +1,6 @@
 """The benchmark drives tomoflow by name: keep those names resolvable,
 and keep the calls per objective evaluation that it pins. Every name a
-tomoflow module imports is used.
+tomoflow module or a ``tools/`` script imports is used.
 
 ``perfbench/worker.py`` calls the library as ``tf.X``,
 ``perfbench/tracer.py`` times the ``(module, function)`` pairs in
@@ -22,6 +22,9 @@ from conftest import gaussian_blob
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(tomoflow.__file__).resolve().parent
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+# tomoflow modules by file name, tools scripts as tools/NAME
+MODULES = {p.name: p for p in SRC.glob("*.py")} | {f"tools/{p.name}": p for p in TOOLS.glob("*.py")}
 
 
 def perfbench_constant(filename, name):
@@ -118,6 +121,6 @@ def test_unused_imports_are_found():
     assert unused_imports("from .x import Y\ndef f(a: 'Y'): pass\n") == []
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_uses_every_import(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(MODULES[module].read_text()) == []

@@ -1,0 +1,61 @@
+"""The suite recorder in ``tools/``, which later runs are compared against."""
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture(scope="module")
+def record_suites():
+    """tools/record_suites.py, imported by path; the thread variables it
+    sets at import are removed again."""
+    before = set(os.environ)
+    spec = importlib.util.spec_from_file_location("record_suites", TOOLS / "record_suites.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        for var in set(os.environ) - before:
+            del os.environ[var]
+    return module
+
+
+def write_case(case_dir, totals):
+    """A case directory with the three files a suite case writes."""
+    case_dir.mkdir()
+    (case_dir / "manifest.json").write_text(json.dumps({"config_sha256": "ab" * 32, "iterations": 5}))
+    (case_dir / "metrics.csv").write_text(
+        "name,ssim,psnr_db,snr_db,iterations,stop_reason\r\n"
+        f"case_a,0.875,21.5,4.87,{len(totals) - 1},max_iters\r\n"
+    )
+    rows = "".join(f"{k},{e!r},0.5,{e - 0.5!r},1.0\r\n" for k, e in enumerate(totals))
+    (case_dir / "objective.csv").write_text("iteration,total,penalty,discrepancy,grad_norm\r\n" + rows)
+
+
+def test_case_record_reads_the_case_files(record_suites, tmp_path):
+    totals = [9.0, 7.5, 8.25, 6.0, 6.5, 7.0]
+    write_case(tmp_path / "case_a", totals)
+    rec = record_suites.case_record(tmp_path / "case_a")
+    assert rec == {
+        "name": "case_a",
+        "config_sha256": "ab" * 32,
+        "ssim": 0.875,
+        "psnr_db": 21.5,
+        "iterations": 5,
+        "stop_reason": "max_iters",
+        "last_E": 7.0,
+        "lowest_E": 6.0,
+        "lowest_E_iteration": 3,
+        "E_rises": 3,
+    }
+
+
+def test_case_record_keeps_the_first_of_equal_lowest_E(record_suites, tmp_path):
+    write_case(tmp_path / "case_a", [3.0, 2.0, 2.5, 2.0])
+    rec = record_suites.case_record(tmp_path / "case_a")
+    assert (rec["lowest_E"], rec["lowest_E_iteration"], rec["E_rises"]) == (2.0, 1, 1)
