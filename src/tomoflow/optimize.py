@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,10 @@ class RegistrationConfig:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.n_steps >= 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (isinstance(self.n_steps, numbers.Integral) and self.n_steps >= 1):
+            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.grad_tol >= 0:
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
 

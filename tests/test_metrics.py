@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
+import tomoflow.metrics as metrics
 from tomoflow import (
     Grid2D,
     GridMismatchError,
+    PhantomKind,
+    PhantomSpec,
     ScalarImage,
     Sinogram,
     make_parallel_geometry,
+    make_phantom,
     measure_snr,
     psnr,
     ssim,
@@ -18,6 +23,46 @@ from tomoflow import (
 def checkerboard(grid):
     iy, ix = np.indices(grid.shape)
     return ScalarImage(grid, ((ix + iy) % 2).astype(float))
+
+
+def reference_ssim(a, b):
+    """SSIM with the local means taken by ``scipy.signal.fftconvolve``."""
+    x = a.values
+    y = b.values
+    w = metrics._window()
+    mu_x = scipy.signal.fftconvolve(x, w, mode="valid")
+    mu_y = scipy.signal.fftconvolve(y, w, mode="valid")
+    var_x = scipy.signal.fftconvolve(x * x, w, mode="valid") - mu_x * mu_x
+    var_y = scipy.signal.fftconvolve(y * y, w, mode="valid") - mu_y * mu_y
+    cov = scipy.signal.fftconvolve(x * y, w, mode="valid") - mu_x * mu_y
+    c1 = metrics._K1**2
+    c2 = metrics._K2**2
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("nx, ny", [(11, 11), (12, 17), (64, 64), (256, 256), (40, 27)])
+def test_ssim_is_bit_identical_to_fftconvolve(nx, ny):
+    grid = Grid2D(nx, ny)
+    rng = np.random.default_rng(nx * ny)
+    a = ScalarImage(grid, rng.uniform(0, 1, grid.shape))
+    b = ScalarImage(grid, a.values + 0.2 * rng.standard_normal(grid.shape))
+    assert ssim(a, b) == reference_ssim(a, b)
+
+
+@pytest.mark.parametrize(
+    "kinds, n",
+    [
+        ((PhantomKind.SINGLE_STAR_TEMPLATE, PhantomKind.SINGLE_STAR_TARGET), 64),
+        ((PhantomKind.SHEPP_LOGAN, PhantomKind.SHEPP_LOGAN_WARPED), 256),
+    ],
+    ids=["star", "head"],
+)
+def test_ssim_of_phantoms_is_bit_identical_to_fftconvolve(kinds, n):
+    grid = Grid2D(n, n)
+    a, b = (make_phantom(PhantomSpec(kind, grid)) for kind in kinds)
+    assert ssim(a, b) == reference_ssim(a, b)
 
 
 def test_ssim_self_is_one(grid32):
@@ -40,8 +85,6 @@ def test_ssim_symmetry(grid32):
 
 
 def test_ssim_affine_rescale_invariance(grid32, monkeypatch):
-    import tomoflow.metrics as metrics
-
     rng = np.random.default_rng(2)
     a = ScalarImage(grid32, rng.uniform(0, 1, grid32.shape))
     b = ScalarImage(grid32, rng.uniform(0, 1, grid32.shape))

@@ -244,3 +244,16 @@ def test_config_validation(field, value):
     kw[field] = value
     with pytest.raises(ValueError):
         RegistrationConfig(**kw)
+
+
+@pytest.mark.parametrize("field,value", [("n_steps", 2.5), ("max_iters", 1.5), ("n_steps", "5")])
+def test_config_rejects_non_integer_counts(field, value):
+    kw = dict(gamma=1e-7, sigma=2.0, alpha=0.02, n_steps=5, max_iters=10)
+    kw[field] = value
+    with pytest.raises(ValueError, match=field):
+        RegistrationConfig(**kw)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = RegistrationConfig(gamma=1e-7, sigma=2.0, alpha=0.02, n_steps=np.int64(5), max_iters=np.int64(5))
+    assert cfg.n_steps == cfg.max_iters == 5

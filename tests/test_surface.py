@@ -1,6 +1,7 @@
 """The benchmark drives tomoflow by name: keep those names resolvable,
 and keep the calls per objective evaluation that it pins. Every name a
-tomoflow module or a ``tools/`` script imports is used.
+tomoflow module or a ``tools/`` script imports is used, and ``import
+tomoflow`` loads no scipy subpackage that the package does not use.
 
 ``perfbench/worker.py`` calls the library as ``tf.X``,
 ``perfbench/tracer.py`` times the ``(module, function)`` pairs in
@@ -12,6 +13,7 @@ never imported.
 import ast
 import importlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,3 +126,16 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_uses_every_import(module):
     assert unused_imports(MODULES[module].read_text()) == []
+
+
+def test_import_loads_no_unused_scipy_subpackage():
+    """``import tomoflow`` in a fresh process loads only the scipy
+    subpackages it uses; scipy.signal alone would pull in the rest."""
+    unused = ["scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.linalg", "scipy.ndimage"]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import tomoflow; "
+        f"print(sorted(m for m in {unused!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(SRC.parent)], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

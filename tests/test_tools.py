@@ -10,19 +10,25 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-@pytest.fixture(scope="module")
-def record_suites():
-    """tools/record_suites.py, imported by path; the thread variables it
-    sets at import are removed again."""
-    before = set(os.environ)
+def import_record_suites():
+    """tools/record_suites.py, imported by path."""
     spec = importlib.util.spec_from_file_location("record_suites", TOOLS / "record_suites.py")
     module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        for var in set(os.environ) - before:
-            del os.environ[var]
+    spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def record_suites():
+    return import_record_suites()
+
+
+def test_importing_record_suites_leaves_the_environment_alone(record_suites, monkeypatch):
+    for var in record_suites.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    import_record_suites()
+    assert dict(os.environ) == before
 
 
 def write_case(case_dir, totals):

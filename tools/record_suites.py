@@ -13,8 +13,10 @@ suite, its wall time and exit code and per case:
   iterations at which E rose, from ``objective.csv``.
 
 Suites that are not requested are recorded as not run. The thread
-variables default to 1, as in the benchmark. Only the standard library
-and tomoflow are used. Run from the repository root:
+variables default to 1, as in the benchmark; ``main`` sets them before
+it first imports tomoflow, so importing this module changes no
+environment variable. Only the standard library and tomoflow are used.
+Run from the repository root:
 
     PYTHONPATH=src python3 tools/record_suites.py --ids 1 2 4 3 --out suites.json
 
@@ -38,12 +40,6 @@ import time
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_VARS:  # before numpy is imported
-    os.environ.setdefault(_var, "1")
-
-import tomoflow  # noqa: E402
-from tomoflow import cli  # noqa: E402
-from tomoflow.experiments import SUITE_IDS  # noqa: E402
 
 
 def source_sha256(package_dir: Path) -> str:
@@ -56,6 +52,8 @@ def source_sha256(package_dir: Path) -> str:
 
 
 def environment() -> dict:
+    import tomoflow
+
     package_dir = Path(tomoflow.__file__).resolve().parent
 
     def git(*args: str) -> str:
@@ -102,6 +100,8 @@ def case_record(case_dir: Path) -> dict:
 
 
 def run_suite(suite_id: int, out_dir: Path) -> dict:
+    from tomoflow import cli
+
     start = time.perf_counter()
     code = cli.main(["suite", "--id", str(suite_id), "--out", str(out_dir)])
     wall = time.perf_counter() - start
@@ -110,6 +110,10 @@ def run_suite(suite_id: int, out_dir: Path) -> dict:
 
 
 def main(argv=None) -> int:
+    for var in THREAD_VARS:  # before numpy is imported
+        os.environ.setdefault(var, "1")
+    from tomoflow.experiments import SUITE_IDS
+
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--ids", type=int, nargs="+", required=True, choices=SUITE_IDS)
     ap.add_argument("--out", required=True, help="JSON record to write")
