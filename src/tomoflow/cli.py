@@ -127,7 +127,7 @@ def load_experiment_config(path) -> SuiteCase:
 
 
 def cmd_phantom(args) -> int:
-    img = make_phantom(PhantomSpec(PhantomKind(args.kind), Grid2D(args.size, args.size)))
+    img = make_phantom(PhantomSpec(args.kind, Grid2D(args.size, args.size)))
     write_igrd(args.out, img)
     if args.preview:
         write_pgm16(Path(args.out).with_suffix(".pgm"), img)

@@ -23,11 +23,12 @@ x + sign v_i(x)/N, see ``grid.characteristics``), and the image and
 the Jacobian that step with that sign pull through it:
 
 * ``build_flow_chain``, the forward sweep (sign -1, i = 1..N);
-* ``attach_backprop_field``, the backward sweep (sign +1, i = N-1..0).
+* ``attach_backprop_field``, the backward sweep (sign +1, i = N-1..0),
+  which returns its chain as a plain array.
 
 Before any pull, ``build_flow_chain`` checks every step factor of the
 action's Jacobian, so for either action a too-large velocity fails while
-the objective is evaluated. Each sweep allocates the chain it fills.
+the objective is evaluated. Each sweep allocates the chain it returns.
 Nothing is shared between evaluations, so an earlier chain stays valid
 after a later one fails.
 """
@@ -51,8 +52,9 @@ from .grid import (
 
 
 class FlowStabilityError(RuntimeError):
-    """A Jacobian determinant left the positive range; the step size regime
-    (1/N) * velocity magnitude is too coarse for the current field."""
+    """A Jacobian determinant left the positive range or stopped being
+    finite (the step (1/N) * velocity is too coarse for the field), or
+    the objective or the deformed template is not finite."""
 
 
 def jacobian_step(
@@ -69,20 +71,18 @@ def jacobian_step(
     return moved
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowChain:
-    """The two scalar chains of one flow evaluation.
+    """The forward chain of one flow evaluation under ``action``.
 
-    Each is an (N+1, ny, nx) array whose slice i refers to time t_i = i/N;
-    ``action`` says which one carries the Jacobian (see the module
-    docstring). ``transported_template[-1]`` is the deformed template.
-    ``backprop_field`` is None until ``attach_backprop_field`` sets it.
+    ``transported_template`` is an (N+1, ny, nx) array whose slice i is
+    the template under the action at time t_i = i/N (see the module
+    docstring); slice -1 is the deformed template.
     """
 
     grid: Grid2D
     action: GroupAction
     transported_template: np.ndarray
-    backprop_field: np.ndarray | None = None
 
 
 def build_flow_chain(template: ScalarImage, nu: np.ndarray, action: GroupAction) -> FlowChain:
@@ -109,10 +109,10 @@ def build_flow_chain(template: ScalarImage, nu: np.ndarray, action: GroupAction)
     return FlowChain(grid, action, _sweep(grid, nu, template.values, -1.0, mass))
 
 
-def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage, nu: np.ndarray) -> None:
-    """Run the backward sweep: set chain.backprop_field to grad_image
-    composed to each time, times the Jacobian to time 1 for the
-    geometric action.
+def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage, nu: np.ndarray) -> np.ndarray:
+    """Run the backward sweep: a fresh (N+1, ny, nx) array whose slice i
+    is grad_image composed to time t_i, times the Jacobian to time 1 for
+    the geometric action.
 
     Raises FlowStabilityError when a geometric Jacobian image stops being
     finite.
@@ -120,7 +120,7 @@ def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage, nu: np.ndar
     if len(nu) != len(chain.transported_template):
         raise ValueError("chain and velocity field disagree on n_steps")
     geometric = chain.action is GroupAction.GEOMETRIC
-    chain.backprop_field = _sweep(chain.grid, nu, grad_image.values, 1.0, geometric)
+    return _sweep(chain.grid, nu, grad_image.values, 1.0, geometric)
 
 
 def _steps(n_steps: int, sign: float) -> range:

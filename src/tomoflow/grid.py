@@ -30,6 +30,7 @@ for the ray transform's system matrix. These, ``gradient`` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +53,9 @@ class Grid2D:
     y_max: float = 16.0
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs at least 2x2 pixels, got {self.nx}x{self.ny}")
         # a difference is finite only if both ends are, and NaN fails both checks

@@ -12,14 +12,15 @@ pointwise moment field with the reproducing kernel:
                     gradE_i = 2 gamma v_i + smooth(m_i)
 
 where gradL(f) = 2 T*(T(f) - g). Each action's Jacobian is folded into
-one of the flow chain's two arrays (see ``flow``), so either moment is
+one of the flow's two chains (see ``flow``), so either moment is
 the gradient of the chain without the Jacobian times the chain with it.
 The moment field is zeroed on the one-pixel boundary ring where
 one-sided differences would otherwise inject spurious forces.
 
 The velocity ``nu`` and its gradient are ``(N+1, 2, ny, nx)`` arrays
-(see ``flow``). Each evaluation allocates the flow chain's two
-``(N+1, ny, nx)`` arrays, and each gradient one array shaped like
+(see ``flow``). Each evaluation allocates the forward chain, its
+backward sweep (``flow.attach_backprop_field``) the second
+``(N+1, ny, nx)`` chain, and each gradient one array shaped like
 ``nu``, which ``optimize.register`` reuses for the next iterate. Per
 time sample, the moment is built in the ``(2, ny, nx)`` array that
 ``gradient`` returns and its smoothing is one more of that size.
@@ -27,12 +28,13 @@ time sample, the moment is built in the ``(2, ny, nx)`` array that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .action import GroupAction, deform
-from .flow import FlowChain, build_flow_chain
+from .flow import FlowChain, FlowStabilityError, build_flow_chain
 from .grid import Grid2D, ScalarImage, gradient
 from .kernel import KernelSpec, smooth
 from .tomo import Sinogram, back_projection, ray_transform
@@ -77,13 +79,16 @@ def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def objective_gradient(nu: np.ndarray, chain: FlowChain, kernel: KernelSpec, gamma: float) -> np.ndarray:
-    """Velocity gradient of E, a fresh array shaped like nu; the chain's
-    action picks which array is differentiated and the moment's sign."""
+def objective_gradient(
+    nu: np.ndarray, chain: FlowChain, backprop_field: np.ndarray, kernel: KernelSpec, gamma: float
+) -> np.ndarray:
+    """Velocity gradient of E, a fresh array shaped like nu, from the flow
+    chain and its backward chain; the chain's action picks which array
+    is differentiated and the moment's sign."""
     if chain.action is GroupAction.GEOMETRIC:
-        scaled, differentiated, combine = chain.backprop_field, chain.transported_template, np.subtract
+        scaled, differentiated, combine = backprop_field, chain.transported_template, np.subtract
     else:
-        scaled, differentiated, combine = chain.transported_template, chain.backprop_field, np.add
+        scaled, differentiated, combine = chain.transported_template, backprop_field, np.add
     grid = kernel.grid
     out = np.empty(nu.shape)
     for i, v in enumerate(nu):
@@ -101,15 +106,18 @@ def evaluate_objective(
     data: Sinogram,
     action: GroupAction,
     gamma: float,
-):
+) -> tuple[ObjectiveValue, FlowChain, ScalarImage]:
     """Build the flow chain and evaluate E(nu).
 
-    Returns (value, chain, deformed, grad_image) where grad_image is the
-    image-space discrepancy gradient 2 T*(T(deformed) - g); the chain's
-    backprop field is not filled yet.
+    Returns (value, chain, grad_image) where grad_image is the
+    image-space discrepancy gradient 2 T*(T(deformed) - g). Raises
+    FlowStabilityError when the flow fails (see ``build_flow_chain``) or
+    when the objective or the deformed template is not finite.
     """
     chain = build_flow_chain(template, nu, action)
     deformed = deform(chain)
     disc, grad_image = data_term(deformed, data)
     value = ObjectiveValue(penalty=gamma * velocity_norm_sq(template.grid, nu), discrepancy=disc)
-    return value, chain, deformed, grad_image
+    if not (math.isfinite(value.total) and np.isfinite(deformed.values).all()):
+        raise FlowStabilityError("objective or deformed template not finite")
+    return value, chain, grad_image

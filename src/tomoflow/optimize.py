@@ -103,14 +103,15 @@ def register(
     Each iteration rebuilds the transported-template and
     back-propagation chains, assembles the kernel-smoothed gradient and
     takes one step. Stops on the gradient-norm tolerance, the iteration
-    budget, or a numerical failure (non-positive Jacobian or non-finite
-    field), in which case the last finite iterate is returned.
+    budget, or a numerical failure (a FlowStabilityError from either
+    sweep or the objective, or a non-finite gradient norm), in which
+    case the last finite iterate is returned.
 
     Between evaluations only the iterate, the last finite iterate, its
-    transported template and the histories stay alive: the chain's
-    back-propagated field is freed before the next chain is built, and
-    the next iterate is written into the gradient's buffer, never into
-    the last finite iterate.
+    transported template and the histories stay alive: the
+    back-propagated chain is freed after the gradient, and the next
+    iterate is written into the gradient's buffer, never into the last
+    finite iterate.
     """
     if data.geometry != geom:
         raise ValueError("sinogram geometry does not match the requested geometry")
@@ -123,46 +124,38 @@ def register(
     last_nu = nu
     # until an evaluation succeeds, the identity flow: every sample is the template
     last_transported = np.broadcast_to(template.values, (cfg.n_steps + 1,) + grid.shape)
-    iterations = 0
 
-    def stop(reason: StopReason, detail: str = "") -> RegistrationResult:
+    def stop(k: int, reason: StopReason, detail: str = "") -> RegistrationResult:
         trajectory = [ScalarImage(grid, f) for f in last_transported]
-        return RegistrationResult(last_nu, trajectory, history, grad_norms, iterations, reason, detail)
+        return RegistrationResult(last_nu, trajectory, history, grad_norms, k, reason, detail)
 
     for k in range(cfg.max_iters + 1):
         try:
-            value, chain, deformed, grad_img = evaluate_objective(
-                template, nu, data, cfg.action, cfg.gamma
-            )
+            value, chain, grad_img = evaluate_objective(template, nu, data, cfg.action, cfg.gamma)
             # the backward sweep builds the geometric Jacobian, so its
             # finiteness check fails here, before this iterate is kept
-            attach_backprop_field(chain, grad_img, nu)
+            back = attach_backprop_field(chain, grad_img, nu)
         except FlowStabilityError as exc:
-            return stop(StopReason.NUMERICAL_FAILURE, f"iteration {k}: {exc}")
-        if not (math.isfinite(value.total) and np.isfinite(deformed.values).all()):
-            return stop(
-                StopReason.NUMERICAL_FAILURE, f"iteration {k}: objective or deformed template not finite"
-            )
+            return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: {exc}")
 
         history.append(value)
         last_nu = nu
         last_transported = chain.transported_template
 
-        grad = objective_gradient(nu, chain, kern, cfg.gamma)
+        grad = objective_gradient(nu, chain, back, kern, cfg.gamma)
+        del back  # free the back-propagated chain before the next build
         grad_norm = math.sqrt(velocity_norm_sq(grid, grad))
         grad_norms.append(grad_norm)
 
         if not math.isfinite(grad_norm):
-            return stop(StopReason.NUMERICAL_FAILURE, f"iteration {k}: gradient norm not finite")
+            return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: gradient norm not finite")
         if grad_norm <= cfg.grad_tol:
-            return stop(StopReason.GRAD_TOL)
+            return stop(k, StopReason.GRAD_TOL)
         if k == cfg.max_iters:
-            return stop(StopReason.MAX_ITERS)
+            return stop(k, StopReason.MAX_ITERS)
 
-        del chain, deformed, grad_img  # free the back-propagated chain before the next build
         grad *= cfg.alpha  # the step, scaled in place
         # never into nu: it is the last finite iterate if the next evaluation fails
         nu = np.subtract(nu, grad, out=grad)
-        iterations = k + 1
 
     raise AssertionError("unreachable")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class PhantomSpec:
     kind: PhantomKind
     grid: Grid2D
 
+    def __post_init__(self):
+        # a value such as "shepp-logan" becomes its member; unknown values raise ValueError
+        object.__setattr__(self, "kind", PhantomKind(self.kind))
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -61,6 +66,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.snr_db > -math.inf:
             raise ValueError(f"snr_db must be a finite SNR in dB or inf, got {self.snr_db}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 # (value, a, b, x0, y0, angle_deg), normalized coordinates.
@@ -213,31 +220,28 @@ def rasterize_stars(grid: Grid2D, params) -> ScalarImage:
     for center, r_out, r_in, n_pts, rot in params:
         verts = star_vertices(center, r_out, r_in, n_pts, rot)
         img = np.maximum(img, _point_in_polygon(U, V, verts))
-    return ScalarImage(grid, np.clip(img, 0.0, 1.0))
+    return ScalarImage(grid, img)
+
+
+# Each kind's rasterizer and the parameter table it draws.
+_PHANTOMS = {
+    PhantomKind.SHEPP_LOGAN: (_rasterize_ellipses, SHEPP_LOGAN_ELLIPSES),
+    PhantomKind.SHEPP_LOGAN_MISSING: (
+        _rasterize_ellipses,
+        tuple(e for i, e in enumerate(SHEPP_LOGAN_ELLIPSES) if i != MISSING_OBJECT_INDEX),
+    ),
+    PhantomKind.SHEPP_LOGAN_EXTRA: (_rasterize_ellipses, SHEPP_LOGAN_ELLIPSES + (EXTRA_OBJECT_ELLIPSE,)),
+    PhantomKind.SHEPP_LOGAN_WARPED: (_rasterize_ellipses, _warped_ellipses()),
+    PhantomKind.SINGLE_STAR_TEMPLATE: (rasterize_stars, (SINGLE_STAR_TEMPLATE_PARAMS,)),
+    PhantomKind.SINGLE_STAR_TARGET: (rasterize_stars, (SINGLE_STAR_TARGET_PARAMS,)),
+    PhantomKind.SIX_STARS_TEMPLATE: (rasterize_stars, SIX_STARS_TEMPLATE_PARAMS),
+    PhantomKind.SIX_STARS_TARGET: (rasterize_stars, SIX_STARS_TARGET_PARAMS),
+}
 
 
 def make_phantom(spec: PhantomSpec) -> ScalarImage:
-    kind = spec.kind
-    if kind is PhantomKind.SHEPP_LOGAN:
-        return _rasterize_ellipses(spec.grid, SHEPP_LOGAN_ELLIPSES)
-    if kind is PhantomKind.SHEPP_LOGAN_MISSING:
-        table = tuple(
-            e for i, e in enumerate(SHEPP_LOGAN_ELLIPSES) if i != MISSING_OBJECT_INDEX
-        )
-        return _rasterize_ellipses(spec.grid, table)
-    if kind is PhantomKind.SHEPP_LOGAN_EXTRA:
-        return _rasterize_ellipses(spec.grid, SHEPP_LOGAN_ELLIPSES + (EXTRA_OBJECT_ELLIPSE,))
-    if kind is PhantomKind.SHEPP_LOGAN_WARPED:
-        return _rasterize_ellipses(spec.grid, _warped_ellipses())
-    if kind is PhantomKind.SINGLE_STAR_TEMPLATE:
-        return rasterize_stars(spec.grid, (SINGLE_STAR_TEMPLATE_PARAMS,))
-    if kind is PhantomKind.SINGLE_STAR_TARGET:
-        return rasterize_stars(spec.grid, (SINGLE_STAR_TARGET_PARAMS,))
-    if kind is PhantomKind.SIX_STARS_TEMPLATE:
-        return rasterize_stars(spec.grid, SIX_STARS_TEMPLATE_PARAMS)
-    if kind is PhantomKind.SIX_STARS_TARGET:
-        return rasterize_stars(spec.grid, SIX_STARS_TARGET_PARAMS)
-    raise ValueError(f"unhandled phantom kind {kind}")
+    rasterize, table = _PHANTOMS[spec.kind]
+    return rasterize(spec.grid, table)
 
 
 def add_noise(sino: Sinogram, spec: NoiseSpec) -> Sinogram:

@@ -11,6 +11,7 @@ live in the proximal step instead.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class TVConfig:
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.n_iters >= 1:
-            raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
+        if not (isinstance(self.n_iters, numbers.Integral) and self.n_iters >= 1):
+            raise ValueError(f"n_iters must be an integer >= 1, got {self.n_iters!r}")
 
 
 def _difference_operator(grid: Grid2D) -> scipy.sparse.csr_matrix:

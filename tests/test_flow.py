@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,11 +33,10 @@ def jacobian_by_steps(grid, jac, v_i, n_steps, sign):
     return jacobian_step(grid, jac, v_i, step_feet(grid, v_i, n_steps, sign), n_steps, sign)
 
 
-def full_chain(template, nu, action, grad_image):
-    """A chain with both sweeps run, so both arrays are filled."""
+def both_chains(template, nu, action, grad_image):
+    """The forward chain and the backward one: both sweeps run."""
     chain = build_flow_chain(template, nu, action)
-    attach_backprop_field(chain, grad_image, nu)
-    return chain
+    return chain.transported_template, attach_backprop_field(chain, grad_image, nu)
 
 
 def jacobian_carrier(grid, nu, action):
@@ -43,10 +44,8 @@ def jacobian_carrier(grid, nu, action):
     of ones: the back-propagated field (geometric) or the transported
     template (mass-preserving). It is the Jacobian times the pulled ones."""
     ones = ScalarImage.full(grid, 1.0)
-    chain = full_chain(ones, nu, action, ones)
-    if action is GroupAction.GEOMETRIC:
-        return chain.backprop_field
-    return chain.transported_template
+    transported, back = both_chains(ones, nu, action, ones)
+    return back if action is GroupAction.GEOMETRIC else transported
 
 
 def constant_field(grid, cx, cy):
@@ -150,16 +149,26 @@ def test_backpropagate_shifts_ramp(grid32):
     np.testing.assert_allclose(out[1:-1, 1:-2], X[1:-1, 1:-2] + 2.0 / n, atol=1e-12)
 
 
+def test_backward_sweep_returns_its_chain_and_leaves_the_flow_chain_as_built(grid16):
+    nu = np.zeros((4, 2) + grid16.shape)
+    chain = build_flow_chain(ScalarImage.full(grid16, 2.0), nu, GroupAction.GEOMETRIC)
+    back = attach_backprop_field(chain, ScalarImage.full(grid16, 3.0), nu)
+    np.testing.assert_array_equal(back, np.full((4,) + grid16.shape, 3.0))
+    assert [f.name for f in dataclasses.fields(chain)] == ["grid", "action", "transported_template"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain.transported_template = back
+
+
 def test_zero_field_gives_identity_chain(grid32):
     rng = np.random.default_rng(9)
     template = ScalarImage(grid32, rng.standard_normal(grid32.shape))
     nu = np.zeros((7, 2) + grid32.shape)
-    chain = full_chain(template, nu, GroupAction.GEOMETRIC, ScalarImage.full(grid32, 1.0))
-    for img in chain.transported_template:
+    transported, back = both_chains(template, nu, GroupAction.GEOMETRIC, ScalarImage.full(grid32, 1.0))
+    for img in transported:
         np.testing.assert_array_equal(img, template.values)
-    np.testing.assert_array_equal(chain.backprop_field, 1.0)  # the Jacobian to time 1
+    np.testing.assert_array_equal(back, 1.0)  # the Jacobian to time 1
     chain_mp = build_flow_chain(template, nu, GroupAction.MASS_PRESERVING)
-    np.testing.assert_array_equal(chain_mp.transported_template, chain.transported_template)
+    np.testing.assert_array_equal(chain_mp.transported_template, transported)
 
 
 def test_chain_boundary_values():
@@ -168,9 +177,9 @@ def test_chain_boundary_values():
     template = ScalarImage(grid, rng.standard_normal(grid.shape))
     v = rotation_field(grid, 0.3)
     nu = time_constant(v, 8)
-    chain = full_chain(template, nu, GroupAction.GEOMETRIC, ScalarImage.full(grid, 1.0))
-    np.testing.assert_array_equal(chain.transported_template[0], template.values)
-    np.testing.assert_array_equal(chain.backprop_field[-1], 1.0)  # the Jacobian to time 1 at N
+    transported, back = both_chains(template, nu, GroupAction.GEOMETRIC, ScalarImage.full(grid, 1.0))
+    np.testing.assert_array_equal(transported[0], template.values)
+    np.testing.assert_array_equal(back[-1], 1.0)  # the Jacobian to time 1 at N
     chain_mp = build_flow_chain(ScalarImage.full(grid, 1.0), nu, GroupAction.MASS_PRESERVING)
     np.testing.assert_array_equal(chain_mp.transported_template[0], 1.0)  # the Jacobian to time 0 at 0
 
@@ -288,8 +297,7 @@ def test_chain_matches_step_by_step_recursions(action):
     template = ScalarImage(grid, rng.standard_normal(grid.shape))
     grad_image = ScalarImage(grid, rng.standard_normal(grid.shape))
     nu = 0.3 * np.stack([random_smooth_field(grid, seed) for seed in range(n + 1)])
-    chain = build_flow_chain(template, nu, action)
-    attach_backprop_field(chain, grad_image, nu)
+    chain_transported, chain_back = both_chains(template, nu, action, grad_image)
 
     transported, back = [template.values], [grad_image.values]
     for i in range(1, n + 1):
@@ -310,5 +318,5 @@ def test_chain_matches_step_by_step_recursions(action):
         back = np.multiply(jac, back)
     else:
         transported = np.multiply(jac, transported)
-    np.testing.assert_array_equal(chain.transported_template, transported)
-    np.testing.assert_array_equal(chain.backprop_field, back)
+    np.testing.assert_array_equal(chain_transported, transported)
+    np.testing.assert_array_equal(chain_back, back)

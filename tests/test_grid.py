@@ -34,6 +34,16 @@ def test_grid_rejects_tiny(nx, ny):
         Grid2D(nx, ny)
 
 
+@pytest.mark.parametrize("nx,ny,field", [(32.0, 32, "nx"), (32, 32.0, "ny"), ("32", 32, "nx")])
+def test_grid_rejects_non_integer_sizes(nx, ny, field):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        Grid2D(nx, ny)
+
+
+def test_grid_accepts_numpy_integer_sizes():
+    assert Grid2D(np.int64(8), np.int32(4)).shape == (4, 8)
+
+
 def test_grid_rejects_bad_extent():
     with pytest.raises(ValueError):
         Grid2D(4, 4, 1.0, -1.0)

@@ -13,7 +13,7 @@ from tomoflow import (
     smooth,
     velocity_norm_sq,
 )
-from tomoflow.flow import attach_backprop_field
+from tomoflow.flow import FlowStabilityError, attach_backprop_field
 from tomoflow.objective import (
     data_term,
     evaluate_objective,
@@ -52,9 +52,9 @@ def zero_velocity(grid, n_steps):
 
 
 def assemble_gradient(template, nu, data, action, kern, gamma):
-    value, chain, _, grad_img = evaluate_objective(template, nu, data, action, gamma)
-    attach_backprop_field(chain, grad_img, nu)
-    return objective_gradient(nu, chain, kern, gamma), value
+    value, chain, grad_img = evaluate_objective(template, nu, data, action, gamma)
+    back = attach_backprop_field(chain, grad_img, nu)
+    return objective_gradient(nu, chain, back, kern, gamma), value
 
 
 def test_time_weights_sum_to_one():
@@ -222,7 +222,7 @@ def test_negative_gradient_descends(action):
     kern = make_kernel(grid, 4.0)
     gamma = 1e-7
     nu = zero_velocity(grid, 5)
-    grad, value0 = assemble_gradient(template, nu, data, GroupAction.GEOMETRIC, kern, gamma)
+    grad, value0 = assemble_gradient(template, nu, data, action, kern, gamma)
 
     alpha = 0.1
     for _ in range(12):  # halve until decrease
@@ -245,3 +245,12 @@ def test_discrepancy_invariant_under_angle_relabeling(setup16):
     sino_t = ray_transform(template, geom)
     manual = geom.y_weight() * np.sum((sino_t.values[perm] - permuted.values) ** 2)
     assert manual == pytest.approx(d0, rel=1e-12)
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_objective_raises(action, bad, setup16):
+    grid, geom, template, data = setup16
+    data.values[1, 5] = bad
+    with pytest.raises(FlowStabilityError, match="^objective or deformed template not finite$"):
+        evaluate_objective(template, zero_velocity(grid, 5), data, action, gamma=1e-7)

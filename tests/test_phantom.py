@@ -47,6 +47,40 @@ def test_phantom_kind_names():
 
 
 @pytest.mark.parametrize("kind", list(PhantomKind))
+def test_phantom_kind_given_by_name_draws_its_member(kind):
+    spec = PhantomSpec(kind.value, grid_of(32))
+    assert spec.kind is kind
+    by_member = make_phantom(PhantomSpec(kind, grid_of(32)))
+    np.testing.assert_array_equal(make_phantom(spec).values, by_member.values)
+
+
+def test_phantom_spec_rejects_unknown_name():
+    with pytest.raises(ValueError, match="unknown phantom kind 'nonsense'; valid kinds: shepp-logan, "):
+        PhantomSpec("nonsense", grid_of(32))
+
+
+# Sum and cosine-weighted sum of each phantom on a 48x40 grid, recorded
+# before the kinds were drawn from one table; reruns are bit-identical.
+PHANTOM_FINGERPRINTS = {
+    PhantomKind.SHEPP_LOGAN: [237.46874999999997, 0.3126244041545072],
+    PhantomKind.SHEPP_LOGAN_MISSING: [229.54375, 0.41504556532784376],
+    PhantomKind.SHEPP_LOGAN_EXTRA: [249.56874999999997, 0.5860091102309992],
+    PhantomKind.SHEPP_LOGAN_WARPED: [237.76874999999995, -0.12094383312594115],
+    PhantomKind.SINGLE_STAR_TEMPLATE: [302.0, 2.2294586901692126],
+    PhantomKind.SINGLE_STAR_TARGET: [74.0, 1.164714794041254],
+    PhantomKind.SIX_STARS_TEMPLATE: [171.0, -0.9591790306650024],
+    PhantomKind.SIX_STARS_TARGET: [179.0, 0.5713469571137963],
+}
+
+
+@pytest.mark.parametrize("kind", list(PhantomKind))
+def test_phantom_matches_recorded_fingerprint(kind):
+    img = make_phantom(PhantomSpec(kind, Grid2D(48, 40))).values
+    w = np.cos(np.arange(img.size, dtype=np.float64)).reshape(img.shape)
+    assert [float(np.sum(img)), float(np.sum(w * img))] == PHANTOM_FINGERPRINTS[kind]
+
+
+@pytest.mark.parametrize("kind", list(PhantomKind))
 def test_phantom_determinism(kind):
     spec = PhantomSpec(kind, grid_of(64))
     a = make_phantom(spec)
@@ -205,6 +239,17 @@ def test_infinite_snr_means_no_noise(star_sinogram):
 def test_noise_spec_rejects_undefined_snr(target_db):
     with pytest.raises(ValueError, match="SNR"):
         NoiseSpec(target_db, seed=5)
+
+
+@pytest.mark.parametrize("seed", [1.5, None, "3"])
+def test_noise_spec_rejects_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        NoiseSpec(5.0, seed=seed)
+
+
+def test_noise_spec_accepts_numpy_integer_seed(star_sinogram):
+    a = add_noise(star_sinogram, NoiseSpec(4.87, seed=np.int64(1)))
+    np.testing.assert_array_equal(a.values, add_noise(star_sinogram, NoiseSpec(4.87, seed=1)).values)
 
 
 def test_noise_seed_behaviour(star_sinogram):

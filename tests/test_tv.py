@@ -87,6 +87,16 @@ def test_config_validation():
         TVConfig(mu=1.0, n_iters=0)
 
 
+@pytest.mark.parametrize("n_iters", [2.5, "3"])
+def test_config_rejects_non_integer_n_iters(n_iters):
+    with pytest.raises(ValueError, match="n_iters"):
+        TVConfig(mu=1.0, n_iters=n_iters)
+
+
+def test_config_accepts_numpy_integer_n_iters():
+    assert TVConfig(mu=1.0, n_iters=np.int64(3)).n_iters == 3
+
+
 def test_config_rejects_nan_mu():
     with pytest.raises(ValueError, match="mu must be > 0"):
         TVConfig(mu=float("nan"))
