@@ -177,6 +177,9 @@ def cmd_evaluate(args) -> int:
 def cmd_register(args) -> int:
     case, config_out = _parse_config(args.config)
     if args.seed is not None:
+        # a seed that draws nothing would still change the run's config_sha256
+        if math.isinf(case.noise.snr_db):
+            raise ConfigError("--seed needs noisy data, but the config's data are noise-free")
         case = dataclasses.replace(case, noise=dataclasses.replace(case.noise, seed=args.seed))
     res = run_case(case, Path(args.out or config_out))
     if res.registration.stop_reason is StopReason.NUMERICAL_FAILURE:
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="run indirect registration from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory (default: [output] dir)")
-    p.add_argument("--seed", type=int, default=None, help="noise seed override")
+    p.add_argument("--seed", type=int, default=None, help="noise seed override (noisy data only)")
     p.set_defaults(fn=cmd_register)
 
     p = sub.add_parser("fbp", help="filtered back projection of an ISIN sinogram")

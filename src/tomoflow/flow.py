@@ -46,6 +46,7 @@ from .grid import (
     GridMismatchError,
     ScalarImage,
     characteristics,
+    check_count,
     divergence,
     sample_bilinear,
 )
@@ -73,7 +74,8 @@ def jacobian_step(
 
 @dataclass(frozen=True)
 class FlowChain:
-    """The forward chain of one flow evaluation under ``action``.
+    """One flow evaluation: the velocity ``nu`` it was built from (held,
+    not copied) and its forward chain under ``action``.
 
     ``transported_template`` is an (N+1, ny, nx) array whose slice i is
     the template under the action at time t_i = i/N (see the module
@@ -82,6 +84,7 @@ class FlowChain:
 
     grid: Grid2D
     action: GroupAction
+    nu: np.ndarray
     transported_template: np.ndarray
 
 
@@ -98,29 +101,26 @@ def build_flow_chain(template: ScalarImage, nu: np.ndarray, action: GroupAction)
     """
     grid = template.grid
     n = len(nu) - 1
-    if n < 1:
-        raise ValueError("need at least 2 time samples (n_steps >= 1)")
+    check_count("n_steps", n, 1)
     if nu.shape != (n + 1, 2) + grid.shape:
         raise GridMismatchError(f"velocity shape {nu.shape} does not match template grid {grid.shape}")
     mass = action is GroupAction.MASS_PRESERVING
     jac_sign = -1.0 if mass else 1.0
     for i in _steps(n, jac_sign):
         _check_step_factor(grid, nu[i], n, jac_sign, i)
-    return FlowChain(grid, action, _sweep(grid, nu, template.values, -1.0, mass))
+    return FlowChain(grid, action, nu, _sweep(grid, nu, template.values, -1.0, mass))
 
 
-def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage, nu: np.ndarray) -> np.ndarray:
-    """Run the backward sweep: a fresh (N+1, ny, nx) array whose slice i
-    is grad_image composed to time t_i, times the Jacobian to time 1 for
-    the geometric action.
+def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage) -> np.ndarray:
+    """Run the backward sweep along the chain's velocity: a fresh
+    (N+1, ny, nx) array whose slice i is grad_image composed to time
+    t_i, times the Jacobian to time 1 for the geometric action.
 
     Raises FlowStabilityError when a geometric Jacobian image stops being
     finite.
     """
-    if len(nu) != len(chain.transported_template):
-        raise ValueError("chain and velocity field disagree on n_steps")
     geometric = chain.action is GroupAction.GEOMETRIC
-    return _sweep(chain.grid, nu, grad_image.values, 1.0, geometric)
+    return _sweep(chain.grid, chain.nu, grad_image.values, 1.0, geometric)
 
 
 def _steps(n_steps: int, sign: float) -> range:

@@ -41,6 +41,20 @@ class GridMismatchError(ValueError):
     """Raised when a field is not on the grid it is used with."""
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's included)
+    of at least ``least``."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_real(name: str, value: float, positive: bool = True) -> None:
+    """Raise ValueError unless ``value`` is finite and > 0 (``positive``)
+    or >= 0. Every comparison with NaN is false, so NaN fails too."""
+    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+        raise ValueError(f"{name} must be {'>' if positive else '>='} 0 and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform pixel grid on the rectangle [x_min, x_max] x [y_min, y_max]."""
@@ -53,14 +67,11 @@ class Grid2D:
     y_max: float = 16.0
 
     def __post_init__(self):
-        for name in ("nx", "ny"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError(f"grid needs at least 2x2 pixels, got {self.nx}x{self.ny}")
-        # a difference is finite only if both ends are, and NaN fails both checks
-        if not (0 < self.x_max - self.x_min < math.inf and 0 < self.y_max - self.y_min < math.inf):
-            raise ValueError("grid extents must be finite and satisfy x_max > x_min and y_max > y_min")
+        check_count("nx", self.nx, 2)
+        check_count("ny", self.ny, 2)
+        # a difference is finite only if both ends are
+        check_real("x_max - x_min", self.x_max - self.x_min)
+        check_real("y_max - y_min", self.y_max - self.y_min)
 
     @property
     def hx(self) -> float:

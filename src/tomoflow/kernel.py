@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid2D, GridMismatchError
+from .grid import Grid2D, GridMismatchError, check_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +42,7 @@ def _gram(n: int, h: float, sigma: float) -> np.ndarray:
 
 
 def make_kernel(grid: Grid2D, sigma: float) -> KernelSpec:
-    if not sigma > 0:
-        raise ValueError(f"kernel width sigma must be > 0, got {sigma}")
+    check_real("kernel width sigma", sigma)
     return KernelSpec(float(sigma), grid, _gram(grid.nx, grid.hx, sigma), _gram(grid.ny, grid.hy, sigma))
 
 

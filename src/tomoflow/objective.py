@@ -18,12 +18,14 @@ The moment field is zeroed on the one-pixel boundary ring where
 one-sided differences would otherwise inject spurious forces.
 
 The velocity ``nu`` and its gradient are ``(N+1, 2, ny, nx)`` arrays
-(see ``flow``). Each evaluation allocates the forward chain, its
-backward sweep (``flow.attach_backprop_field``) the second
-``(N+1, ny, nx)`` chain, and each gradient one array shaped like
-``nu``, which ``optimize.register`` reuses for the next iterate. Per
-time sample, the moment is built in the ``(2, ny, nx)`` array that
-``gradient`` returns and its smoothing is one more of that size.
+(see ``flow``). Each evaluation allocates the forward chain, held
+with ``nu`` in a ``FlowChain``, from which the backward sweep
+(``flow.attach_backprop_field``) and ``objective_gradient`` read the
+velocity. The backward sweep allocates the second ``(N+1, ny, nx)``
+chain, and each gradient one array shaped like ``nu``, which
+``optimize.register`` reuses for the next iterate. Per time sample,
+the moment is built in the ``(2, ny, nx)`` array that ``gradient``
+returns and its smoothing is one more of that size.
 """
 
 from __future__ import annotations
@@ -80,18 +82,19 @@ def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
 
 
 def objective_gradient(
-    nu: np.ndarray, chain: FlowChain, backprop_field: np.ndarray, kernel: KernelSpec, gamma: float
+    chain: FlowChain, backprop_field: np.ndarray, kernel: KernelSpec, gamma: float
 ) -> np.ndarray:
-    """Velocity gradient of E, a fresh array shaped like nu, from the flow
-    chain and its backward chain; the chain's action picks which array
-    is differentiated and the moment's sign."""
+    """Velocity gradient of E at the chain's velocity, a fresh array
+    shaped like it, from the flow chain and its backward chain; the
+    chain's action picks which array is differentiated and the moment's
+    sign."""
     if chain.action is GroupAction.GEOMETRIC:
         scaled, differentiated, combine = backprop_field, chain.transported_template, np.subtract
     else:
         scaled, differentiated, combine = chain.transported_template, backprop_field, np.add
     grid = kernel.grid
-    out = np.empty(nu.shape)
-    for i, v in enumerate(nu):
+    out = np.empty(chain.nu.shape)
+    for i, v in enumerate(chain.nu):
         # the moment is built in the array gradient() returns
         moment = gradient(grid, differentiated[i])
         moment *= scaled[i]

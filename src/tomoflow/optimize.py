@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .action import GroupAction
-from .flow import FlowStabilityError, attach_backprop_field
-from .grid import ScalarImage
+from .flow import FlowChain, FlowStabilityError, attach_backprop_field
+from .grid import ScalarImage, check_count, check_real
 from .kernel import make_kernel
 from .objective import (
     ObjectiveValue,
@@ -35,7 +34,9 @@ class RegistrationConfig:
     gamma weights the velocity penalty, sigma is the kernel width, alpha
     the descent step, n_steps the number of time intervals, max_iters the
     update budget and grad_tol the stopping threshold on the velocity
-    norm of the gradient.
+    norm of the gradient. gamma and grad_tol must be finite and >= 0,
+    sigma and alpha finite and > 0, and the two counts integers >= 1;
+    any other value raises ValueError here, before a run starts.
     """
 
     gamma: float
@@ -49,19 +50,12 @@ class RegistrationConfig:
     def __post_init__(self):
         # a value such as "geometric" becomes its member; unknown values raise ValueError
         object.__setattr__(self, "action", GroupAction(self.action))
-        # written as "not x >= 0" so that NaN fails every check
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not (isinstance(self.n_steps, numbers.Integral) and self.n_steps >= 1):
-            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not self.grad_tol >= 0:
-            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        check_real("gamma", self.gamma, positive=False)
+        check_real("sigma", self.sigma)
+        check_real("alpha", self.alpha)
+        check_count("n_steps", self.n_steps, 1)
+        check_count("max_iters", self.max_iters, 1)
+        check_real("grad_tol", self.grad_tol, positive=False)
 
 
 @dataclass
@@ -107,11 +101,11 @@ def register(
     sweep or the objective, or a non-finite gradient norm), in which
     case the last finite iterate is returned.
 
-    Between evaluations only the iterate, the last finite iterate, its
-    transported template and the histories stay alive: the
-    back-propagated chain is freed after the gradient, and the next
-    iterate is written into the gradient's buffer, never into the last
-    finite iterate.
+    Between evaluations only the iterate, the last good flow chain (the
+    last finite iterate and its transported template) and the histories
+    stay alive: the back-propagated chain is freed after the gradient,
+    and the next iterate is written into the gradient's buffer, never
+    into the last finite iterate.
     """
     if data.geometry != geom:
         raise ValueError("sinogram geometry does not match the requested geometry")
@@ -121,28 +115,26 @@ def register(
 
     history: list[ObjectiveValue] = []
     grad_norms: list[float] = []
-    last_nu = nu
     # until an evaluation succeeds, the identity flow: every sample is the template
-    last_transported = np.broadcast_to(template.values, (cfg.n_steps + 1,) + grid.shape)
+    last = FlowChain(grid, cfg.action, nu, np.broadcast_to(template.values, (cfg.n_steps + 1,) + grid.shape))
 
     def stop(k: int, reason: StopReason, detail: str = "") -> RegistrationResult:
-        trajectory = [ScalarImage(grid, f) for f in last_transported]
-        return RegistrationResult(last_nu, trajectory, history, grad_norms, k, reason, detail)
+        trajectory = [ScalarImage(grid, f) for f in last.transported_template]
+        return RegistrationResult(last.nu, trajectory, history, grad_norms, k, reason, detail)
 
     for k in range(cfg.max_iters + 1):
         try:
             value, chain, grad_img = evaluate_objective(template, nu, data, cfg.action, cfg.gamma)
             # the backward sweep builds the geometric Jacobian, so its
             # finiteness check fails here, before this iterate is kept
-            back = attach_backprop_field(chain, grad_img, nu)
+            back = attach_backprop_field(chain, grad_img)
         except FlowStabilityError as exc:
             return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: {exc}")
 
         history.append(value)
-        last_nu = nu
-        last_transported = chain.transported_template
+        last = chain
 
-        grad = objective_gradient(nu, chain, back, kern, cfg.gamma)
+        grad = objective_gradient(chain, back, kern, cfg.gamma)
         del back  # free the back-propagated chain before the next build
         grad_norm = math.sqrt(velocity_norm_sq(grid, grad))
         grad_norms.append(grad_norm)

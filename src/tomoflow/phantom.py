@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid2D, ScalarImage
+from .grid import Grid2D, ScalarImage, check_count
 from .tomo import Sinogram
 
 
@@ -66,8 +65,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.snr_db > -math.inf:
             raise ValueError(f"snr_db must be a finite SNR in dB or inf, got {self.snr_db}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        check_count("seed", self.seed, 0)
 
 
 # (value, a, b, x0, y0, angle_deg), normalized coordinates.

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .grid import Grid2D, ScalarImage, bilinear_stencil
+from .grid import Grid2D, ScalarImage, bilinear_stencil, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,9 @@ class SinogramGeometry:
     s_max: float
 
     def __post_init__(self):
-        if self.n_angles < 1:
-            raise ValueError(f"need n_angles >= 1, got {self.n_angles}")
-        if self.n_detectors < 2:
-            raise ValueError(f"need n_detectors >= 2, got {self.n_detectors}")
-        if not 0 < self.s_max - self.s_min < math.inf:
-            raise ValueError(f"detector extent [{self.s_min}, {self.s_max}] must be finite and positive")
+        check_count("n_angles", self.n_angles, 1)
+        check_count("n_detectors", self.n_detectors, 2)
+        check_real("s_max - s_min", self.s_max - self.s_min)
 
     @property
     def hs(self) -> float:
@@ -87,8 +84,7 @@ class Sinogram:
 
 def make_parallel_geometry(grid: Grid2D, n_angles: int, n_detectors: int) -> SinogramGeometry:
     """Geometry whose detector extent covers the grid diagonal plus one cell."""
-    if n_detectors < 2:  # checked before the spacing divides by n_detectors - 1
-        raise ValueError(f"need n_detectors >= 2, got {n_detectors}")
+    check_count("n_detectors", n_detectors, 2)  # before the spacing divides by n_detectors - 1
     diag = math.hypot(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
     hs = diag / (n_detectors - 1)
     return SinogramGeometry(

@@ -11,13 +11,12 @@ live in the proximal step instead.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from .grid import Grid2D, ScalarImage
+from .grid import Grid2D, ScalarImage, check_count, check_real
 from .tomo import Sinogram, SinogramGeometry, _system_matrix
 
 
@@ -27,10 +26,8 @@ class TVConfig:
     n_iters: int = 1000
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not (isinstance(self.n_iters, numbers.Integral) and self.n_iters >= 1):
-            raise ValueError(f"n_iters must be an integer >= 1, got {self.n_iters!r}")
+        check_real("mu", self.mu)
+        check_count("n_iters", self.n_iters, 1)
 
 
 def _difference_operator(grid: Grid2D) -> scipy.sparse.csr_matrix:

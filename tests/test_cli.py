@@ -231,7 +231,36 @@ def test_register_rejects_nan_registration_value(tmp_path, capsys, key, bound):
     out = tmp_path / "results"
     assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.strip().splitlines() == [f"config error: invalid [registration] {key} must be {bound}, got nan"]
+    assert err.strip().splitlines() == [f"config error: invalid [registration] {key} must be {bound} and finite, got nan"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("gamma = 1e-7", "gamma = inf", "[registration] gamma must be >= 0 and finite, got inf"),
+    ("sigma = 4.0", "sigma = inf", "[registration] sigma must be > 0 and finite, got inf"),
+    ("alpha = 0.02", "alpha = inf", "[registration] alpha must be > 0 and finite, got inf"),
+    ("[output]", "[tv]\nmu = inf\n\n[output]", "[tv] mu must be > 0 and finite, got inf"),
+    ("seed = 11", "seed = -1", "[noise] seed must be an integer >= 0, got -1"),
+], ids=["gamma", "sigma", "alpha", "tv_mu", "noise_seed"])
+def test_register_rejects_infinite_or_negative_setting(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(CONFIG.replace(old, new))
+    out = tmp_path / "results"
+    assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: invalid {message}"]
+    assert not out.exists()
+
+
+def test_register_seed_needs_noisy_data(tmp_path, capsys, config_path):
+    out = tmp_path / "noisy"
+    assert main(["register", "--config", str(config_path), "--out", str(out), "--seed", "5"]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["case"]["noise"]["seed"] == 5
+    clean = tmp_path / "clean.ini"
+    clean.write_text(CONFIG.replace("[noise]\nsnr_db = 6.0\nseed = 11\n", ""))
+    out = tmp_path / "clean"
+    assert main(["register", "--config", str(clean), "--out", str(out), "--seed", "5"]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: --seed needs noisy data, but the config's data are noise-free"]
     assert not out.exists()
 
 
@@ -307,7 +336,7 @@ def test_project_rejects_one_detector(tmp_path, capsys):
     rc = main(["project", "--image", str(phantom_path), "--angles", "4", "--detectors", "1",
                "--out", str(sino_path)])
     assert rc == EXIT_USAGE
-    assert capsys.readouterr().err.strip().splitlines() == ["error: need n_detectors >= 2, got 1"]
+    assert capsys.readouterr().err.strip().splitlines() == ["error: n_detectors must be an integer >= 2, got 1"]
     assert not sino_path.exists()
 
 

@@ -36,7 +36,7 @@ def jacobian_by_steps(grid, jac, v_i, n_steps, sign):
 def both_chains(template, nu, action, grad_image):
     """The forward chain and the backward one: both sweeps run."""
     chain = build_flow_chain(template, nu, action)
-    return chain.transported_template, attach_backprop_field(chain, grad_image, nu)
+    return chain.transported_template, attach_backprop_field(chain, grad_image)
 
 
 def jacobian_carrier(grid, nu, action):
@@ -152,9 +152,10 @@ def test_backpropagate_shifts_ramp(grid32):
 def test_backward_sweep_returns_its_chain_and_leaves_the_flow_chain_as_built(grid16):
     nu = np.zeros((4, 2) + grid16.shape)
     chain = build_flow_chain(ScalarImage.full(grid16, 2.0), nu, GroupAction.GEOMETRIC)
-    back = attach_backprop_field(chain, ScalarImage.full(grid16, 3.0), nu)
+    back = attach_backprop_field(chain, ScalarImage.full(grid16, 3.0))
     np.testing.assert_array_equal(back, np.full((4,) + grid16.shape, 3.0))
-    assert [f.name for f in dataclasses.fields(chain)] == ["grid", "action", "transported_template"]
+    assert [f.name for f in dataclasses.fields(chain)] == ["grid", "action", "nu", "transported_template"]
+    assert chain.nu is nu  # held, not copied
     with pytest.raises(dataclasses.FrozenInstanceError):
         chain.transported_template = back
 

@@ -49,6 +49,8 @@ def test_kernel_value_basics(grid16):
 def test_kernel_rejects_bad_sigma(grid16):
     with pytest.raises(ValueError):
         make_kernel(grid16, 0.0)
+    with pytest.raises(ValueError, match="sigma must be > 0 and finite, got inf"):
+        make_kernel(grid16, math.inf)
 
 
 def test_kernel_rejects_nan_sigma(grid16):

@@ -53,8 +53,8 @@ def zero_velocity(grid, n_steps):
 
 def assemble_gradient(template, nu, data, action, kern, gamma):
     value, chain, grad_img = evaluate_objective(template, nu, data, action, gamma)
-    back = attach_backprop_field(chain, grad_img, nu)
-    return objective_gradient(nu, chain, back, kern, gamma), value
+    back = attach_backprop_field(chain, grad_img)
+    return objective_gradient(chain, back, kern, gamma), value
 
 
 def test_time_weights_sum_to_one():

@@ -247,6 +247,11 @@ def test_noise_spec_rejects_non_integer_seed(seed):
         NoiseSpec(5.0, seed=seed)
 
 
+def test_noise_spec_rejects_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+        NoiseSpec(5.0, seed=-1)
+
+
 def test_noise_spec_accepts_numpy_integer_seed(star_sinogram):
     a = add_noise(star_sinogram, NoiseSpec(4.87, seed=np.int64(1)))
     np.testing.assert_array_equal(a.values, add_noise(star_sinogram, NoiseSpec(4.87, seed=1)).values)

@@ -31,8 +31,17 @@ def test_geometry_extent_covers_diagonal(grid64):
 
 
 def test_make_parallel_geometry_rejects_one_detector(grid32):
-    with pytest.raises(ValueError, match="n_detectors >= 2, got 1"):
+    with pytest.raises(ValueError, match="n_detectors must be an integer >= 2, got 1"):
         make_parallel_geometry(grid32, 4, 1)
+
+
+@pytest.mark.parametrize("n_angles,n_detectors,field", [(2.5, 48, "n_angles"), (6.0, 48, "n_angles"),
+                                                        (6, 48.0, "n_detectors")])
+def test_geometry_rejects_non_integer_counts(grid32, n_angles, n_detectors, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        make_parallel_geometry(grid32, n_angles, n_detectors)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        SinogramGeometry(n_angles, n_detectors, -20.0, 20.0)
 
 
 @pytest.mark.parametrize("s_min,s_max", [(-math.inf, 1.0), (-1.0, math.inf), (-math.inf, math.inf),

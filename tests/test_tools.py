@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+REPO = Path(__file__).resolve().parents[1]
+TOOLS = REPO / "tools"
 
 
 def import_record_suites():
@@ -65,3 +66,30 @@ def test_case_record_keeps_the_first_of_equal_lowest_E(record_suites, tmp_path):
     write_case(tmp_path / "case_a", [3.0, 2.0, 2.5, 2.0])
     rec = record_suites.case_record(tmp_path / "case_a")
     assert (rec["lowest_E"], rec["lowest_E_iteration"], rec["E_rises"]) == (2.0, 1, 1)
+
+
+def newest_suites_record() -> Path:
+    """The committed ``SUITES_<PR>.json`` with the highest PR number."""
+    return max(REPO.glob("SUITES_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+
+
+def test_suite1_matches_the_newest_record(record_suites, tmp_path):
+    """Suite 1 reproduces its case in the newest committed suite record.
+
+    The settings hash, the scores as ``metrics.csv`` writes them, the
+    iteration count, the stop reason, the number of E rises and the
+    iteration of the lowest E must be equal; the last and the lowest E
+    must agree to 1e-12 relative. A change that moves suite 1 on purpose
+    commits a new ``SUITES_<PR>.json`` from ``tools/record_suites.py``
+    and says in CHANGES.md why the answer moved.
+    """
+    record = json.loads(newest_suites_record().read_text())
+    (recorded,) = record["suites"]["1"]["cases"]
+    run = record_suites.run_suite(1, tmp_path / "suite1")
+    assert run["exit_code"] == 0
+    (case,) = run["cases"]
+    exact = ("name", "config_sha256", "ssim", "psnr_db", "iterations", "stop_reason", "E_rises",
+             "lowest_E_iteration")
+    assert {key: case[key] for key in exact} == {key: recorded[key] for key in exact}
+    for key in ("last_E", "lowest_E"):
+        assert case[key] == pytest.approx(recorded[key], rel=1e-12, abs=0.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,8 @@ def test_config_validation():
         TVConfig(mu=0.0)
     with pytest.raises(ValueError):
         TVConfig(mu=1.0, n_iters=0)
+    with pytest.raises(ValueError, match="mu must be > 0 and finite, got inf"):
+        TVConfig(mu=math.inf)
 
 
 @pytest.mark.parametrize("n_iters", [2.5, "3"])
