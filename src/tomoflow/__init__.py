@@ -5,32 +5,21 @@ through a sparse, noisy parallel-beam ray transform. The deformation is
 the endpoint of a flow generated by a time-dependent velocity field,
 optimized by gradient descent in a Gaussian reproducing-kernel space,
 with filtered back projection and total-variation baselines.
+
+The package exports the pipeline (phantoms, projection, noise,
+registration, baselines, metrics) and the types it takes, returns and
+raises. The numerical internals are imported from their own modules
+(``tomoflow.grid``, ``.kernel``, ``.flow``, ``.objective``, ...).
 """
 
-from .action import GroupAction, deform
-from .grid import (
-    Grid2D,
-    GridMismatchError,
-    ScalarImage,
-    characteristics,
-    divergence,
-    gradient,
-    sample_bilinear,
-)
-from .kernel import KernelSpec, make_kernel, smooth
-from .objective import ObjectiveValue, velocity_norm_sq
+from .action import GroupAction
+from .grid import Grid2D, GridMismatchError, ScalarImage
+from .metrics import measure_snr, psnr, ssim
+from .objective import ObjectiveValue
 from .optimize import RegistrationConfig, RegistrationResult, StopReason, register
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
-from .metrics import measure_snr, psnr, ssim
-from .tomo import (
-    Sinogram,
-    SinogramGeometry,
-    back_projection,
-    fbp,
-    make_parallel_geometry,
-    ray_transform,
-)
-from .tv import TVConfig, operator_norm_estimate, tv_reconstruct
+from .tomo import Sinogram, SinogramGeometry, back_projection, fbp, make_parallel_geometry, ray_transform
+from .tv import TVConfig, tv_reconstruct
 
 __version__ = "0.1.0"
 
@@ -38,7 +27,6 @@ __all__ = [
     "Grid2D",
     "GridMismatchError",
     "GroupAction",
-    "KernelSpec",
     "NoiseSpec",
     "ObjectiveValue",
     "PhantomKind",
@@ -52,23 +40,14 @@ __all__ = [
     "TVConfig",
     "add_noise",
     "back_projection",
-    "characteristics",
-    "deform",
-    "divergence",
     "fbp",
-    "gradient",
-    "make_kernel",
     "make_parallel_geometry",
     "make_phantom",
     "measure_snr",
     "psnr",
     "ray_transform",
     "register",
-    "sample_bilinear",
-    "smooth",
     "ssim",
     "tv_reconstruct",
-    "operator_norm_estimate",
-    "velocity_norm_sq",
     "__version__",
 ]

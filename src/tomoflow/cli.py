@@ -24,7 +24,7 @@ from .io import read_igrd, read_isin, write_igrd, write_isin, write_pgm16
 from .metrics import psnr, ssim
 from .optimize import RegistrationConfig, StopReason
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
-from .tomo import fbp, make_parallel_geometry, ray_transform
+from .tomo import check_freq_scaling, fbp, make_parallel_geometry, ray_transform
 from .tv import TVConfig, tv_reconstruct
 
 EXIT_OK = 0
@@ -52,8 +52,12 @@ _CONFIG_SCHEMA = {
 _REQUIRED_SECTIONS = ("phantom", "geometry", "registration")
 
 
-def _parse_config(path) -> tuple[SuiteCase, str]:
-    """The run described by the INI config, and its [output] dir."""
+def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, str]:
+    """Parse and validate the INI config into a case named after the file's
+    stem, and return it with its [output] dir. Unknown sections or keys
+    are errors. Without [noise] the data are noise-free (noise.snr_db =
+    inf). ``seed`` (``register --seed``) replaces the [noise] seed and is
+    checked like it; it needs noisy data."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -95,6 +99,8 @@ def _parse_config(path) -> tuple[SuiteCase, str]:
             if f.name in parser[section] or f.default is dataclasses.MISSING
         })
 
+    if seed is not None and "noise" in parser:
+        parser["noise"]["seed"] = str(seed)  # built and checked as the [noise] seed
     size = need("phantom", "size", int)
     grid = build("phantom", Grid2D, nx=size, ny=size)
     # the geometry that run_case builds, so that its ranges are checked here
@@ -110,17 +116,14 @@ def _parse_config(path) -> tuple[SuiteCase, str]:
         target_kind=need("phantom", "target_kind", PhantomKind),
         noise=section_config("noise") if "noise" in parser else NoiseSpec(math.inf),
         cfg=section_config("registration"),
-        fbp_freq_scaling=need("fbp", "freq_scaling", float) if "fbp" in parser else None,
+        fbp_freq_scaling=(build("fbp", check_freq_scaling, freq_scaling=need("fbp", "freq_scaling", float))
+                          if "fbp" in parser else None),
         tv=section_config("tv") if "tv" in parser else None,
     )
+    if seed is not None and math.isinf(case.noise.snr_db):
+        # a seed that draws nothing would still change the run's config_sha256
+        raise ConfigError("--seed needs noisy data, but the config's data are noise-free")
     return case, parser.get("output", "dir", fallback="out")
-
-
-def load_experiment_config(path) -> SuiteCase:
-    """Parse and validate the INI config into a case named after the file's
-    stem; unknown sections or keys are errors. Without [noise] the data
-    are noise-free (noise.snr_db = inf)."""
-    return _parse_config(path)[0]
 
 
 # --- commands --------------------------------------------------------------
@@ -175,12 +178,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_register(args) -> int:
-    case, config_out = _parse_config(args.config)
-    if args.seed is not None:
-        # a seed that draws nothing would still change the run's config_sha256
-        if math.isinf(case.noise.snr_db):
-            raise ConfigError("--seed needs noisy data, but the config's data are noise-free")
-        case = dataclasses.replace(case, noise=dataclasses.replace(case.noise, seed=args.seed))
+    case, config_out = load_experiment_config(args.config, args.seed)
     res = run_case(case, Path(args.out or config_out))
     if res.registration.stop_reason is StopReason.NUMERICAL_FAILURE:
         print(f"register: stopped on numerical failure ({res.registration.stop_detail}); "

@@ -144,7 +144,8 @@ def _sweep(
         pulled = sample_bilinear(grid, pulled, feet)
         if with_jacobian:
             jac = jacobian_step(grid, jac, nu[i], feet, n, sign)
-            _check_finite(jac, i)
+            if not np.isfinite(jac).all():
+                raise FlowStabilityError(f"Jacobian determinant became non-finite at time index {i}")
             np.multiply(jac, pulled, out=chain[i])
         else:
             chain[i] = pulled
@@ -167,8 +168,3 @@ def _check_step_factor(grid: Grid2D, v: np.ndarray, n_steps: int, sign: float, i
             f"determinant step factor reached {lo:.3e} at time index {i}; "
             "the velocity is too large for this n_steps"
         )
-
-
-def _check_finite(jac: np.ndarray, i: int) -> None:
-    if not np.isfinite(jac).all():
-        raise FlowStabilityError(f"Jacobian determinant became non-finite at time index {i}")

@@ -250,7 +250,7 @@ def add_noise(sino: Sinogram, spec: NoiseSpec) -> Sinogram:
     drawn sample rather than in expectation.
     """
     if spec.snr_db == math.inf:
-        return sino.copy()
+        return Sinogram(sino.geometry, sino.values.copy())
     g = sino.values
     signal = float(np.sum((g - g.mean()) ** 2))
     if signal <= 0.0:

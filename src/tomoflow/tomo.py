@@ -78,9 +78,6 @@ class Sinogram:
     def zeros(cls, geometry: SinogramGeometry) -> "Sinogram":
         return cls(geometry, np.zeros(geometry.shape))
 
-    def copy(self) -> "Sinogram":
-        return Sinogram(self.geometry, self.values.copy())
-
 
 def make_parallel_geometry(grid: Grid2D, n_angles: int, n_detectors: int) -> SinogramGeometry:
     """Geometry whose detector extent covers the grid diagonal plus one cell."""
@@ -136,18 +133,24 @@ def back_projection(sino: Sinogram, grid: Grid2D) -> ScalarImage:
     return ScalarImage(grid, vals.reshape(grid.shape))
 
 
+def check_freq_scaling(freq_scaling: float) -> float:
+    """Return ``freq_scaling``, the FBP cut-off as a fraction of the
+    detector Nyquist frequency, or raise ValueError unless it is in (0, 1]."""
+    if not 0.0 < freq_scaling <= 1.0:
+        raise ValueError(f"freq_scaling must be in (0, 1], got {freq_scaling}")
+    return freq_scaling
+
+
 def fbp(sino: Sinogram, grid: Grid2D, freq_scaling: float) -> ScalarImage:
     """Filtered back projection: each projection is filtered with a ramp
     times a Hamming window cut off at freq_scaling times the detector
     Nyquist frequency, then back-projected with back_projection, whose
     scale hs * (pi / n_angles) / (hx * hy) approximates the continuum back
     projection over [0, 180) degrees."""
-    if not 0.0 < freq_scaling <= 1.0:
-        raise ValueError(f"freq_scaling must be in (0, 1], got {freq_scaling}")
     geom = sino.geometry
+    f_cut = check_freq_scaling(freq_scaling) * 0.5 / geom.hs
     n_pad = scipy.fft.next_fast_len(2 * geom.n_detectors)
     freqs = scipy.fft.rfftfreq(n_pad, d=geom.hs)
-    f_cut = freq_scaling * 0.5 / geom.hs
     window = np.where(
         freqs <= f_cut,
         0.54 + 0.46 * np.cos(np.pi * freqs / f_cut),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tomoflow import Grid2D, ScalarImage, make_kernel, smooth
+from tomoflow import Grid2D, ScalarImage
+from tomoflow.kernel import make_kernel, smooth
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_blob, integrate
-from tomoflow import Grid2D, GroupAction, ScalarImage, deform
+from tomoflow import Grid2D, GroupAction, ScalarImage
+from tomoflow.action import deform
 from tomoflow.flow import build_flow_chain
 
 

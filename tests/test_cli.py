@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from tomoflow.cli import (
-    EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, ConfigError, build_parser, load_experiment_config, main,
+    EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, ConfigError, build_parser, load_experiment_config, main,
 )
 from tomoflow.experiments import SuiteCase
 from tomoflow.io import read_igrd, read_isin
@@ -50,23 +50,25 @@ def config_path(tmp_path):
 
 
 def test_config_parses(config_path):
-    case = load_experiment_config(config_path)
+    case, output_dir = load_experiment_config(config_path)
+    assert output_dir == "out"
     assert case.name == "run"
     assert case.grid.nx == case.grid.ny == 32
     assert case.cfg.n_steps == 5
     assert case.noise == NoiseSpec(6.0, seed=11)
     assert case.fbp_freq_scaling is None and case.tv is None
+    assert load_experiment_config(config_path, seed=5)[0].noise == NoiseSpec(6.0, seed=5)
 
 
 def test_config_parses_baselines(tmp_path):
     path = tmp_path / "baselines.ini"
     path.write_text(CONFIG + "[fbp]\nfreq_scaling = 0.5\n\n[tv]\nmu = 2.0\n")
-    case = load_experiment_config(path)
+    case = load_experiment_config(path)[0]
     assert case.fbp_freq_scaling == 0.5
     assert case.tv == TVConfig(mu=2.0)
     assert case.tv.n_iters == TVConfig.n_iters
     path.write_text(CONFIG + "[tv]\nmu = 2.0\nn_iters = 7\n")
-    assert load_experiment_config(path).tv == TVConfig(mu=2.0, n_iters=7)
+    assert load_experiment_config(path)[0].tv == TVConfig(mu=2.0, n_iters=7)
 
 
 def test_config_rejects_old_tv_iters_key(tmp_path):
@@ -95,6 +97,38 @@ def test_register_rejects_out_of_range_setting(tmp_path, capsys, old, new):
     if old.startswith("n_"):  # a [geometry] key: the line names its section and the bad value
         value = new.split(" = ")[1]
         assert err[0].startswith("config error: invalid [geometry] ") and err[0].endswith(f"got {value}")
+    if "freq_scaling" in new:  # checked by the rule that fbp applies, before anything is built
+        assert err == ["config error: invalid [fbp] freq_scaling must be in (0, 1], got 1.5"]
+
+
+def test_register_rejects_negative_seed_flag(tmp_path, capsys, config_path):
+    out = tmp_path / "results"
+    assert main(["register", "--config", str(config_path), "--out", str(out), "--seed", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: invalid [noise] seed must be an integer >= 0, got -1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit,out_name,code,line", [
+    (None, "results", EXIT_USAGE, "config error: cannot read config file {config}"),
+    (lambda text: text + "[extra]\nkey = 1\n", "results", EXIT_USAGE,
+     "config error: unknown config section [extra]"),
+    (lambda text: text.replace("[geometry]\nn_angles = 6\nn_detectors = 48\n", ""), "results", EXIT_USAGE,
+     "config error: missing required section [geometry]"),
+    (lambda text: text.replace("gamma = 1e-7\n", ""), "results", EXIT_USAGE,
+     "config error: missing key 'gamma' in section [registration]"),
+    (lambda text: text, "file/results", EXIT_IO, "i/o error: [Errno 20] Not a directory: '{out}'"),
+], ids=["unreadable_file", "unknown_section", "missing_section", "missing_key", "out_below_a_file"])
+def test_register_error_paths(tmp_path, capsys, edit, out_name, code, line):
+    """edit None leaves the config file unwritten."""
+    config = tmp_path / "run.ini"
+    if edit:
+        config.write_text(edit(CONFIG))
+    (tmp_path / "file").write_text("a regular file, not a directory")
+    out = tmp_path / out_name
+    assert main(["register", "--config", str(config), "--out", str(out)]) == code
+    assert capsys.readouterr().err.strip().splitlines() == [line.format(config=config, out=out)]
+    assert not out.exists()
 
 
 def test_config_rejects_unknown_key(tmp_path):

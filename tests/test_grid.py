@@ -5,15 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import integrate
-from tomoflow import (
-    Grid2D,
-    GridMismatchError,
-    ScalarImage,
-    characteristics,
-    divergence,
-    gradient,
-    sample_bilinear,
-)
+from tomoflow import Grid2D, GridMismatchError, ScalarImage
+from tomoflow.grid import characteristics, divergence, gradient, sample_bilinear
 
 
 def pull(grid, img, disp):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from tomoflow import Grid2D, GridMismatchError, make_kernel, smooth
+from tomoflow import Grid2D, GridMismatchError
+from tomoflow.kernel import make_kernel, smooth
 
 
 def kernel_value(spec, x, y):

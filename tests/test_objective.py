@@ -7,18 +7,17 @@ from tomoflow import (
     GroupAction,
     ScalarImage,
     Sinogram,
-    make_kernel,
     make_parallel_geometry,
     ray_transform,
-    smooth,
-    velocity_norm_sq,
 )
 from tomoflow.flow import FlowStabilityError, attach_backprop_field
+from tomoflow.kernel import make_kernel, smooth
 from tomoflow.objective import (
     data_term,
     evaluate_objective,
     objective_gradient,
     time_weights,
+    velocity_norm_sq,
 )
 from tomoflow.tomo import back_projection
 

@@ -1,9 +1,10 @@
-"""The benchmark drives tomoflow by name: keep those names resolvable,
-and keep the calls per objective evaluation that it pins. Every name a
-tomoflow module or a ``tools/`` script imports is used, and ``import
-tomoflow`` loads no scipy subpackage that the package does not use.
+"""The benchmark and the README drive tomoflow by name: keep those names
+resolvable, and keep the calls per objective evaluation that the
+benchmark pins. Every name a tomoflow module or a ``tools/`` script
+imports is used, and ``import tomoflow`` loads no scipy subpackage that
+the package does not use.
 
-``perfbench/worker.py`` calls the library as ``tf.X``,
+``perfbench/worker.py`` and the README call the library as ``tf.X``,
 ``perfbench/tracer.py`` times the ``(module, function)`` pairs in
 ``TRACED`` and ``perfbench/test_perfbench.py`` pins their calls per
 evaluation in ``EXPECTED_PER_EVAL``. These files are only read here,
@@ -23,6 +24,7 @@ import tomoflow
 from conftest import gaussian_blob
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(tomoflow.__file__).resolve().parent
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # tomoflow modules by file name, tools scripts as tools/NAME
@@ -40,9 +42,14 @@ def perfbench_constant(filename, name):
 
 
 def test_worker_names_are_exported():
-    names = set(re.findall(r"\btf\.([A-Za-z_]\w*)", (PERFBENCH / "worker.py").read_text()))
-    assert names, "no tf.X calls found in the worker"
-    assert sorted(n for n in names if n not in tomoflow.__all__) == []
+    """Every ``tf.X`` in the worker and in the README's code blocks is in
+    ``tomoflow.__all__``."""
+    code_blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(), flags=re.DOTALL | re.MULTILINE)
+    readme_code = "".join(code_blocks)
+    for source in ((PERFBENCH / "worker.py").read_text(), readme_code):
+        names = set(re.findall(r"\btf\.([A-Za-z_]\w*)", source))
+        assert names, "no tf.X calls found"
+        assert sorted(n for n in names if n not in tomoflow.__all__) == []
 
 
 def test_traced_pairs_resolve_to_callables():

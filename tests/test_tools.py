@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from tomoflow.experiments import SUITE_IDS, case_hash, suite_cases
+
 REPO = Path(__file__).resolve().parents[1]
 TOOLS = REPO / "tools"
 
@@ -93,3 +95,13 @@ def test_suite1_matches_the_newest_record(record_suites, tmp_path):
     assert {key: case[key] for key in exact} == {key: recorded[key] for key in exact}
     for key in ("last_E", "lowest_E"):
         assert case[key] == pytest.approx(recorded[key], rel=1e-12, abs=0.0)
+
+
+def test_every_suite_case_matches_the_newest_record():
+    """Each case of suites 1-4 hashes to the ``config_sha256`` recorded for
+    it, so a change to a suite's settings needs a new record."""
+    record = json.loads(newest_suites_record().read_text())
+    recorded = {case["name"]: case["config_sha256"] for suite in record["suites"].values()
+                for case in suite["cases"]}
+    built = {case.name: case_hash(case) for suite_id in SUITE_IDS for case in suite_cases(suite_id)}
+    assert built == recorded

@@ -9,11 +9,10 @@ from tomoflow import (
     Sinogram,
     TVConfig,
     make_parallel_geometry,
-    operator_norm_estimate,
     ray_transform,
     tv_reconstruct,
 )
-from tomoflow.tv import _difference_operator
+from tomoflow.tv import _difference_operator, operator_norm_estimate
 
 
 def forward_grad_reference(f, hx, hy):
