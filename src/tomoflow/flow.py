@@ -28,9 +28,13 @@ the Jacobian that step with that sign pull through it:
 
 Before any pull, ``build_flow_chain`` checks every step factor of the
 action's Jacobian, so for either action a too-large velocity fails while
-the objective is evaluated. Each sweep allocates the chain it returns.
-Nothing is shared between evaluations, so an earlier chain stays valid
-after a later one fails.
+the objective is evaluated. Each sweep allocates the chain it returns
+and one displacement buffer that every step reuses; a step's
+characteristic is freed before the next step builds its own. Nothing is
+shared between evaluations, and a chain is a function of its velocity
+alone: ``optimize.register`` keeps no chain between evaluations and,
+when one fails, rebuilds the last finite iterate's chain from that
+velocity.
 """
 
 from __future__ import annotations
@@ -139,8 +143,10 @@ def _sweep(
     chain = np.empty((n + 1,) + grid.shape)
     chain[0 if sign < 0 else n] = start
     pulled, jac = start, np.ones(grid.shape)
+    disp = np.empty((2,) + grid.shape)  # every step's displacement sign v_i/N
     for i in _steps(n, sign):
-        feet = characteristics(grid, (sign / n) * nu[i])
+        np.multiply(nu[i], sign / n, out=disp)
+        feet = characteristics(grid, disp)
         pulled = sample_bilinear(grid, pulled, feet)
         if with_jacobian:
             jac = jacobian_step(grid, jac, nu[i], feet, n, sign)
@@ -149,6 +155,7 @@ def _sweep(
             np.multiply(jac, pulled, out=chain[i])
         else:
             chain[i] = pulled
+        del feet  # freed before the next step builds its own
     return chain
 
 

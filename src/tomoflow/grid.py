@@ -154,20 +154,25 @@ def _bilinear_rule(tx: np.ndarray, ty: np.ndarray, nx: int, ny: int) -> Characte
     y0 = np.floor(ty)
     tx -= x0
     ty -= y0
-    sx = 1.0 - tx
-    sy = 1.0 - ty
-    weights = np.empty((4,) + tx.shape)
-    np.multiply(sx, sy, out=weights[0])
-    np.multiply(tx, sy, out=weights[1])
-    np.multiply(sx, ty, out=weights[2])
-    np.multiply(tx, ty, out=weights[3])
 
     # flat index of corner (0, 0) in the padded copy; y0, x0 >= -2
     w = nx + 4
     y0 *= w
     y0 += x0
+    del x0  # the floors are freed before the weights are allocated
     corner = y0.astype(np.intp)
+    del y0
     corner += 2 * w + 2
+
+    # sy = 1 - ty and sx = 1 - tx are built in the slots they end up scaling
+    weights = np.empty((4,) + tx.shape)
+    sy, sx = weights[0], weights[2]
+    np.subtract(1.0, ty, out=sy)
+    np.multiply(tx, sy, out=weights[1])
+    np.subtract(1.0, tx, out=sx)
+    np.multiply(sx, sy, out=weights[0])
+    np.multiply(sx, ty, out=weights[2])
+    np.multiply(tx, ty, out=weights[3])
     return Characteristic(corner, weights)
 
 

@@ -22,10 +22,12 @@ The velocity ``nu`` and its gradient are ``(N+1, 2, ny, nx)`` arrays
 with ``nu`` in a ``FlowChain``, from which the backward sweep
 (``flow.attach_backprop_field``) and ``objective_gradient`` read the
 velocity. The backward sweep allocates the second ``(N+1, ny, nx)``
-chain, and each gradient one array shaped like ``nu``, which
-``optimize.register`` reuses for the next iterate. Per time sample,
-the moment is built in the ``(2, ny, nx)`` array that ``gradient``
-returns and its smoothing is one more of that size.
+chain, and each gradient one array shaped like ``nu``.
+``optimize.register`` frees the previous iterate once both sweeps have
+succeeded, so that array can take its memory, and writes the next
+iterate into it. Per time sample, the moment is built in the
+``(2, ny, nx)`` array that ``gradient`` returns and its smoothing is
+one more of that size.
 """
 
 from __future__ import annotations

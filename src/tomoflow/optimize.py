@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import GroupAction
-from .flow import FlowChain, FlowStabilityError, attach_backprop_field
+from .flow import FlowChain, FlowStabilityError, attach_backprop_field, build_flow_chain
 from .grid import ScalarImage, check_count, check_real
 from .kernel import make_kernel
 from .objective import (
@@ -68,6 +68,10 @@ class RegistrationResult:
     For either action ``trajectory[-1]`` is the deformed template, the
     image whose projection the data term compares with the data. The
     images are views into that iterate's transported-template array.
+    When an evaluation failed, that array was rebuilt from the last
+    finite iterate with ``build_flow_chain``; if the first evaluation
+    failed, that iterate is the zero field and every image the template
+    (a read-only view of it).
 
     ``final_velocity`` is the last finite iterate as an
     ``(N+1, 2, ny, nx)`` array. ``grad_norms[k]`` is the velocity norm of
@@ -101,11 +105,15 @@ def register(
     sweep or the objective, or a non-finite gradient norm), in which
     case the last finite iterate is returned.
 
-    Between evaluations only the iterate, the last good flow chain (the
-    last finite iterate and its transported template) and the histories
-    stay alive: the back-propagated chain is freed after the gradient,
-    and the next iterate is written into the gradient's buffer, never
-    into the last finite iterate.
+    Between evaluations only the iterate, the last finite iterate and
+    the histories stay alive; no flow chain is kept. The last finite
+    iterate is freed once both sweeps of the next evaluation have
+    succeeded, before the gradient is allocated, and the back-propagated
+    chain and the transported template are freed after the gradient. The
+    next iterate is written into the gradient's buffer, never into the
+    last finite iterate. On a numerical failure after the first
+    evaluation, the returned trajectory is rebuilt from the last finite
+    iterate with ``build_flow_chain``.
     """
     if data.geometry != geom:
         raise ValueError("sinogram geometry does not match the requested geometry")
@@ -115,12 +123,17 @@ def register(
 
     history: list[ObjectiveValue] = []
     grad_norms: list[float] = []
-    # until an evaluation succeeds, the identity flow: every sample is the template
-    last = FlowChain(grid, cfg.action, nu, np.broadcast_to(template.values, (cfg.n_steps + 1,) + grid.shape))
+    last = nu  # the last finite iterate: the zero field until an evaluation succeeds
 
-    def stop(k: int, reason: StopReason, detail: str = "") -> RegistrationResult:
-        trajectory = [ScalarImage(grid, f) for f in last.transported_template]
-        return RegistrationResult(last.nu, trajectory, history, grad_norms, k, reason, detail)
+    def stop(k: int, reason: StopReason, detail: str = "", chain: FlowChain | None = None):
+        if chain is not None:
+            states = chain.transported_template
+        elif k:  # this evaluation failed: rebuild the last finite iterate's chain
+            states = build_flow_chain(template, last, cfg.action).transported_template
+        else:  # the first evaluation failed: the identity flow, every sample the template
+            states = np.broadcast_to(template.values, (cfg.n_steps + 1,) + grid.shape)
+        trajectory = [ScalarImage(grid, f) for f in states]
+        return RegistrationResult(last, trajectory, history, grad_norms, k, reason, detail)
 
     for k in range(cfg.max_iters + 1):
         try:
@@ -132,7 +145,7 @@ def register(
             return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: {exc}")
 
         history.append(value)
-        last = chain
+        last = nu  # frees the previous iterate, so the gradient can reuse its memory
 
         grad = objective_gradient(chain, back, kern, cfg.gamma)
         del back  # free the back-propagated chain before the next build
@@ -140,11 +153,12 @@ def register(
         grad_norms.append(grad_norm)
 
         if not math.isfinite(grad_norm):
-            return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: gradient norm not finite")
+            return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: gradient norm not finite", chain)
         if grad_norm <= cfg.grad_tol:
-            return stop(k, StopReason.GRAD_TOL)
+            return stop(k, StopReason.GRAD_TOL, chain=chain)
         if k == cfg.max_iters:
-            return stop(k, StopReason.MAX_ITERS)
+            return stop(k, StopReason.MAX_ITERS, chain=chain)
+        del chain  # free the transported template before the next build
 
         grad *= cfg.alpha  # the step, scaled in place
         # never into nu: it is the last finite iterate if the next evaluation fails

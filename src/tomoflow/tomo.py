@@ -6,9 +6,10 @@ the step length. Forward and adjoint are realized through one sparse
 system matrix per (grid, geometry) pair, so the back projection is the
 exact matrix transpose of the forward map: the adjoint identity holds to
 rounding by construction.
-The matrix is assembled one angle at a time: each angle's rays form a
-CSR block of their own, and the blocks are stacked, so only one angle's
-line samples are held at once.
+The matrix is assembled in blocks of at most ``BLOCK_SAMPLES`` line
+samples, several rays of one angle each, so only one block's line
+samples are held at once; the blocks are then copied into the final CSR
+arrays.
 
 Inner products carry quadrature weights: hx*hy on images and
 hs*(pi/n_angles) on sinograms, approximating the continuum pairing over
@@ -92,6 +93,11 @@ def make_parallel_geometry(grid: Grid2D, n_angles: int, n_detectors: int) -> Sin
     )
 
 
+# Line samples per block of the system matrix's assembly: a block is the
+# rays of one angle that fit in this budget (at least one ray).
+BLOCK_SAMPLES = 2**15
+
+
 @functools.cache
 def _system_matrix(grid: Grid2D, geom: SinogramGeometry) -> scipy.sparse.csr_matrix:
     ds = 0.5 * min(grid.hx, grid.hy)
@@ -100,21 +106,46 @@ def _system_matrix(grid: Grid2D, geom: SinogramGeometry) -> scipy.sparse.csr_mat
     n_t = int(math.ceil(2.0 * t_half / ds))
     t = -t_half + (np.arange(n_t) + 0.5) * ds
     s = geom.detector_centers()
+    n_pixels = grid.ny * grid.nx
+    block_rays = max(1, BLOCK_SAMPLES // n_t)
 
     blocks = []
     for theta in geom.angles_rad():
         c, sn = math.cos(theta), math.sin(theta)
-        # line points s*omega + t*omega_perp, omega = (cos, sin)
-        x = s[:, None] * c - t[None, :] * sn
-        y = s[:, None] * sn + t[None, :] * c
-        pixels, weights = bilinear_stencil(grid, x, y)
-        weights *= ds
-        keep = (pixels >= 0) & (weights != 0.0)
-        rays = np.broadcast_to(np.arange(geom.n_detectors, dtype=np.int32)[:, None], keep.shape)
-        blocks.append(scipy.sparse.csr_matrix(
-            (weights[keep], (rays[keep], pixels[keep])), shape=(geom.n_detectors, grid.ny * grid.nx)
-        ))
-    return scipy.sparse.vstack(blocks, format="csr")
+        for first in range(0, geom.n_detectors, block_rays):
+            s_block = s[first:first + block_rays]
+            # line points s*omega + t*omega_perp, omega = (cos, sin)
+            x = s_block[:, None] * c - t[None, :] * sn
+            y = s_block[:, None] * sn + t[None, :] * c
+            pixels, weights = bilinear_stencil(grid, x, y)
+            del x, y
+            weights *= ds
+            keep = (pixels >= 0) & (weights != 0.0)
+            rays = np.broadcast_to(np.arange(len(s_block), dtype=np.int32)[:, None], keep.shape)
+            # a row's entries arrive corner by corner, each along the ray,
+            # whatever the block size, so scipy's per-row sort and its
+            # duplicate sums do not depend on the blocks
+            blocks.append(scipy.sparse.csr_matrix(
+                (weights[keep], (rays[keep], pixels[keep])), shape=(len(s_block), n_pixels)
+            ))
+            del pixels, weights, keep
+
+    # the blocks are copied into the final arrays, each freed once copied
+    nnz = sum(block.nnz for block in blocks)
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(geom.n_angles * geom.n_detectors + 1, dtype=index)
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    indptr[0] = row = end = 0
+    blocks.reverse()
+    while blocks:
+        block = blocks.pop()
+        start, end = end, end + block.nnz
+        indices[start:end] = block.indices
+        data[start:end] = block.data
+        np.add(block.indptr[1:], index(start), out=indptr[row + 1:row + 1 + block.shape[0]])
+        row += block.shape[0]
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_pixels))
 
 
 def ray_transform(img: ScalarImage, geom: SinogramGeometry) -> Sinogram:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 
 from .grid import Grid2D, ScalarImage, check_count, check_real
-from .tomo import Sinogram, SinogramGeometry, _system_matrix
+from .tomo import Sinogram, _system_matrix
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,17 @@ def _difference_operator(grid: Grid2D) -> scipy.sparse.csr_matrix:
     return scipy.sparse.vstack([d_x, d_y], format="csr")
 
 
-def operator_norm_estimate(geom: SinogramGeometry, grid: Grid2D, seed: int = 0) -> float:
-    """Estimate of the stacked operator norm |(T, grad)| from 100 power
-    iterations, started from a Gaussian draw of ``seed``. That start is no
-    constant image, the only kind that grad maps to 0, and each later
-    iterate lies in the range of T^T T + grad^T grad, so none maps to 0."""
-    mat = _system_matrix(grid, geom)
-    diff = _difference_operator(grid)
+def operator_norm_estimate(
+    mat: scipy.sparse.csr_matrix, diff: scipy.sparse.csr_matrix, seed: int = 0
+) -> float:
+    """Estimate of the stacked operator norm |(T, grad)| of the ray
+    transform's system matrix ``mat`` and the difference matrix ``diff``
+    from 100 power iterations, started from a Gaussian draw of ``seed``.
+    That start is no constant image, the only kind that grad maps to 0,
+    and each later iterate lies in the range of T^T T + grad^T grad, so
+    none maps to 0."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    v = rng.standard_normal(grid.ny * grid.nx)
+    v = rng.standard_normal(mat.shape[1])
     v /= np.linalg.norm(v)
     for _ in range(100):
         w = mat.T @ (mat @ v) + diff.T @ (diff @ v)
@@ -72,7 +74,7 @@ def tv_reconstruct(data: Sinogram, grid: Grid2D, cfg: TVConfig) -> ScalarImage:
     mat = _system_matrix(grid, geom)
     diff = _difference_operator(grid)
     mat_t, diff_t = mat.T, diff.T  # built once: each .T makes a new view
-    norm_k = operator_norm_estimate(geom, grid)
+    norm_k = operator_norm_estimate(mat, diff)
     tau = sigma = 0.99 / norm_k
 
     w_y = geom.y_weight()

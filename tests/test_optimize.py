@@ -159,6 +159,16 @@ def test_numerical_failure_reports_partial_history(problem32):
     assert np.isfinite(res.final_velocity).all()  # last finite iterate is returned
     assert "time index" in res.stop_detail
     assert res.stop_detail.startswith(f"iteration {res.iterations_run}:")
+    # the first step is too large: the step factor fails at iteration 1, and the
+    # rebuilt trajectory is the clean run of 0 iterations, which a grad_tol that
+    # every gradient meets stops at its first evaluation
+    assert res.iterations_run == 1
+    clean = register(template, data, geom, small_cfg(alpha=1e6, n_steps=2, grad_tol=1e300))
+    assert clean.stop_reason is StopReason.GRAD_TOL and clean.iterations_run == 0
+    assert res.objective_history == clean.objective_history
+    np.testing.assert_array_equal(res.final_velocity, clean.final_velocity)
+    np.testing.assert_array_equal(np.asarray([f.values for f in res.trajectory]),
+                                  np.asarray([f.values for f in clean.trajectory]))
 
 
 def assert_nan_jacobian_stops_at_iteration_2(problem32, monkeypatch, action, failing_call):
@@ -203,10 +213,11 @@ def test_non_finite_mass_preserving_jacobian_stops_at_that_iteration(problem32, 
 
 @pytest.mark.parametrize("action", list(GroupAction))
 def test_register_memory_is_bounded(problem32, action):
-    # between evaluations only the iterate, the last finite iterate and its
-    # transported template stay alive, the next iterate reuses the
-    # gradient's buffer, and no Jacobian chain is stored, so the peak stays
-    # near four velocity arrays (4.06 for either action here)
+    # while an iterate is evaluated only it and the last finite iterate are
+    # held; that one is freed before the gradient is allocated, the next
+    # iterate reuses the gradient's buffer, and no Jacobian chain is stored,
+    # so the peak stays near three velocity arrays and the per-step
+    # temporaries (3.44 geometric, 3.38 mass-preserving here)
     grid, geom, template, _, data = problem32
     cfg = small_cfg(action=action, n_steps=20, max_iters=3)
     register(template, data, geom, cfg)  # warm-up: the projector and its caches
@@ -217,7 +228,7 @@ def test_register_memory_is_bounded(problem32, action):
     finally:
         tracemalloc.stop()
     assert res.stop_reason is StopReason.MAX_ITERS
-    assert peak <= 4.25 * res.final_velocity.nbytes
+    assert peak <= 3.5 * res.final_velocity.nbytes
 
 
 def test_every_iteration_records_objective_and_grad_norm(problem32):

@@ -19,6 +19,7 @@ from tomoflow import (
     make_phantom,
     ray_transform,
 )
+import tomoflow.tomo as tomo
 from tomoflow.tomo import _system_matrix
 
 
@@ -176,15 +177,21 @@ def test_fbp_disk_interior_mean():
     assert abs(interior.mean() - 1.0) <= 0.05
 
 
-def masked_system_matrix_reference(grid, geom):
-    """The projector assembled corner by corner, each corner masked to the
-    grid: floors, weights and masks written out independently of ``grid``.
-    Rays are sampled at half the smaller pixel spacing."""
+def line_samples(grid):
+    """The step and the offsets along every ray: half the smaller pixel
+    spacing, over the grid's half diagonal plus one pixel on each side."""
     ds = 0.5 * min(grid.hx, grid.hy)
     half = 0.5 * math.hypot(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
     t_half = half + 1.0 * max(grid.hx, grid.hy)
     n_t = int(math.ceil(2.0 * t_half / ds))
-    t = -t_half + (np.arange(n_t) + 0.5) * ds
+    return ds, -t_half + (np.arange(n_t) + 0.5) * ds
+
+
+def masked_system_matrix_reference(grid, geom):
+    """The projector assembled corner by corner, each corner masked to the
+    grid: floors, weights and masks written out independently of ``grid``.
+    Rays are sampled at half the smaller pixel spacing."""
+    ds, t = line_samples(grid)
     s = geom.detector_centers()
     rows_all, cols_all, data_all = [], [], []
     nx, ny = grid.nx, grid.ny
@@ -220,7 +227,7 @@ def masked_system_matrix_reference(grid, geom):
     ).tocsr()
 
 
-@pytest.mark.parametrize(
+MATRIX_CASES = pytest.mark.parametrize(
     "grid,n_angles,n_detectors",
     [
         (Grid2D(64, 64), 10, 92),
@@ -229,14 +236,31 @@ def masked_system_matrix_reference(grid, geom):
     ],
     ids=["64", "219", "non_square"],
 )
-def test_system_matrix_matches_masked_reference(grid, n_angles, n_detectors):
-    geom = make_parallel_geometry(grid, n_angles, n_detectors)
-    got = _system_matrix(grid, geom)
-    ref = masked_system_matrix_reference(grid, geom)
+
+
+def assert_same_csr(got, ref):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+
+
+@MATRIX_CASES
+def test_system_matrix_matches_masked_reference(grid, n_angles, n_detectors):
+    geom = make_parallel_geometry(grid, n_angles, n_detectors)
+    assert_same_csr(_system_matrix(grid, geom), masked_system_matrix_reference(grid, geom))
+
+
+@MATRIX_CASES
+@pytest.mark.parametrize("block_rays", [1, 7])
+def test_system_matrix_blocks_match_masked_reference(monkeypatch, grid, n_angles, n_detectors, block_rays):
+    # a budget below one ray's samples still takes one ray per block; 7 rays
+    # per block split every angle here unevenly
+    assert block_rays == 1 or n_detectors % block_rays != 0
+    n_t = len(line_samples(grid)[1])
+    monkeypatch.setattr(tomo, "BLOCK_SAMPLES", 1 if block_rays == 1 else block_rays * n_t)
+    geom = make_parallel_geometry(grid, n_angles, n_detectors)
+    assert_same_csr(_system_matrix.__wrapped__(grid, geom), masked_system_matrix_reference(grid, geom))
 
 
 def test_system_matrix_stores_no_zero_weights():
@@ -252,8 +276,9 @@ def test_system_matrix_stores_no_zero_weights():
 
 
 def test_system_matrix_build_memory_is_bounded():
-    # one angle's line samples are held at a time, not every angle's
-    # triplets, so the build peak stays within a few times the CSR's size
+    # one block's line samples are held at a time, not every angle's
+    # triplets, and each block is freed once copied into the final arrays,
+    # so the build peak stays near twice the CSR's size (2.00 here)
     grid = Grid2D(128, 128)
     geom = make_parallel_geometry(grid, 10, 362)
     tracemalloc.start()
@@ -263,4 +288,4 @@ def test_system_matrix_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     size = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    assert peak <= 5 * size
+    assert peak <= 2.1 * size

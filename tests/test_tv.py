@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import tomoflow.tv as tv
+from conftest import gaussian_blob
 from tomoflow import (
     Grid2D,
     ScalarImage,
@@ -12,6 +15,7 @@ from tomoflow import (
     ray_transform,
     tv_reconstruct,
 )
+from tomoflow.tomo import _system_matrix
 from tomoflow.tv import _difference_operator, operator_norm_estimate
 
 
@@ -52,10 +56,30 @@ def test_gradient_adjoint_is_exact():
 def test_operator_norm_positive_and_start_invariant():
     grid = Grid2D(24, 24)
     geom = make_parallel_geometry(grid, 5, 36)
-    l0 = operator_norm_estimate(geom, grid, seed=0)
-    l1 = operator_norm_estimate(geom, grid, seed=99)
+    mat, diff = _system_matrix(grid, geom), _difference_operator(grid)
+    l0 = operator_norm_estimate(mat, diff, seed=0)
+    l1 = operator_norm_estimate(mat, diff, seed=99)
     assert l0 > 0 and np.isfinite(l0)
     assert abs(l0 - l1) / l0 <= 0.01
+
+
+def test_difference_operator_is_built_once_per_reconstruction(monkeypatch):
+    real, calls = tv._difference_operator, [0]
+
+    def counting(grid):
+        calls[0] += 1
+        return real(grid)
+
+    monkeypatch.setattr(tv, "_difference_operator", counting)
+    grid = Grid2D(24, 24)
+    geom = make_parallel_geometry(grid, 5, 36)
+    data = ray_transform(gaussian_blob(grid, cx=2.0, cy=-1.0, width=3.0), geom)
+    out = tv_reconstruct(data, grid, TVConfig(mu=0.05, n_iters=30)).values
+    assert calls[0] == 1
+    # recorded while the norm estimate still built a second operator: the same image, bit for bit
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "716066c627a0a86994a39489ad701d098efb4cb9c421011510351b62898071a6"
+    )
 
 
 def test_pure_gradient_norm_bound():
