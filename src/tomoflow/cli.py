@@ -21,7 +21,7 @@ from . import __version__
 from .experiments import SUITE_IDS, SuiteCase, run_case, run_suite
 from .grid import Grid2D
 from .io import read_igrd, read_isin, write_igrd, write_isin, write_pgm16
-from .metrics import psnr, ssim
+from .metrics import check_ssim_size, psnr, ssim
 from .optimize import RegistrationConfig, StopReason
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
 from .tomo import check_freq_scaling, fbp, make_parallel_geometry, ray_transform
@@ -59,7 +59,10 @@ def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, st
     inf). ``seed`` (``register --seed``) replaces the [noise] seed and is
     checked like it; it needs noisy data."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a duplicate, a line without '=', no section header
+        raise ConfigError(f"cannot parse config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
@@ -103,6 +106,7 @@ def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, st
         parser["noise"]["seed"] = str(seed)  # built and checked as the [noise] seed
     size = need("phantom", "size", int)
     grid = build("phantom", Grid2D, nx=size, ny=size)
+    build("phantom", check_ssim_size, size=size)  # run_case scores its result with ssim
     # the geometry that run_case builds, so that its ranges are checked here
     geom = build("geometry", make_parallel_geometry, grid=grid,
                  n_angles=need("geometry", "n_angles", int),

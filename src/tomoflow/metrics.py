@@ -34,13 +34,20 @@ def _window() -> np.ndarray:
     return w / w.sum()
 
 
+def check_ssim_size(size: int) -> int:
+    """Return ``size``, an image's smaller side in pixels, or raise
+    ValueError unless SSIM's window fits in it."""
+    if size < _WINDOW_SIZE:
+        raise ValueError(f"size must be at least {_WINDOW_SIZE} pixels (the SSIM window), got {size}")
+    return size
+
+
 def ssim(a: ScalarImage, b: ScalarImage) -> float:
     """Mean local structural similarity (11x11 Gaussian window, sigma 1.5,
     dynamic range 1)."""
     if a.grid != b.grid:
         raise GridMismatchError("ssim needs both images on one grid")
-    if min(a.grid.nx, a.grid.ny) < _WINDOW_SIZE:
-        raise ValueError(f"images must be at least {_WINDOW_SIZE} pixels on each side")
+    check_ssim_size(min(a.grid.nx, a.grid.ny))
     x = a.values
     y = b.values
     shape = [scipy.fft.next_fast_len(n + _WINDOW_SIZE - 1, True) for n in x.shape]

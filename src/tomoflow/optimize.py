@@ -69,9 +69,9 @@ class RegistrationResult:
     image whose projection the data term compares with the data. The
     images are views into that iterate's transported-template array.
     When an evaluation failed, that array was rebuilt from the last
-    finite iterate with ``build_flow_chain``; if the first evaluation
-    failed, that iterate is the zero field and every image the template
-    (a read-only view of it).
+    finite iterate with ``build_flow_chain``; at iteration 0 that is the
+    zero field, whose flow leaves a finite template unchanged and pulls
+    a non-finite one through the identity flow rather than copying it.
 
     ``final_velocity`` is the last finite iterate as an
     ``(N+1, 2, ny, nx)`` array. ``grad_norms[k]`` is the velocity norm of
@@ -111,9 +111,9 @@ def register(
     succeeded, before the gradient is allocated, and the back-propagated
     chain and the transported template are freed after the gradient. The
     next iterate is written into the gradient's buffer, never into the
-    last finite iterate. On a numerical failure after the first
-    evaluation, the returned trajectory is rebuilt from the last finite
-    iterate with ``build_flow_chain``.
+    last finite iterate. On a numerical failure in an evaluation, the
+    returned trajectory is rebuilt from the last finite iterate with
+    ``build_flow_chain``; at iteration 0 that is the zero field.
     """
     if data.geometry != geom:
         raise ValueError("sinogram geometry does not match the requested geometry")
@@ -126,13 +126,9 @@ def register(
     last = nu  # the last finite iterate: the zero field until an evaluation succeeds
 
     def stop(k: int, reason: StopReason, detail: str = "", chain: FlowChain | None = None):
-        if chain is not None:
-            states = chain.transported_template
-        elif k:  # this evaluation failed: rebuild the last finite iterate's chain
-            states = build_flow_chain(template, last, cfg.action).transported_template
-        else:  # the first evaluation failed: the identity flow, every sample the template
-            states = np.broadcast_to(template.values, (cfg.n_steps + 1,) + grid.shape)
-        trajectory = [ScalarImage(grid, f) for f in states]
+        if chain is None:  # this evaluation failed: rebuild the last finite iterate's chain
+            chain = build_flow_chain(template, last, cfg.action)
+        trajectory = [ScalarImage(grid, f) for f in chain.transported_template]
         return RegistrationResult(last, trajectory, history, grad_norms, k, reason, detail)
 
     for k in range(cfg.max_iters + 1):

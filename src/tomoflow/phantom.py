@@ -54,17 +54,18 @@ class PhantomSpec:
 class NoiseSpec:
     """Additive white Gaussian noise scaled to hit an exact SNR in dB.
 
-    snr_db may be math.inf to request no noise; NaN and -inf are
-    rejected. The draw comes from numpy's PCG64 generator, so a fixed
-    seed reproduces the same bit stream on every platform.
+    snr_db may be math.inf to request no noise; any other value must be
+    in [-3000, 3000] dB, a power ratio of 1e-300 to 1e300, which float64
+    holds. The draw comes from numpy's PCG64 generator, so a fixed seed
+    reproduces the same bit stream on every platform.
     """
 
     snr_db: float
     seed: int = 0
 
     def __post_init__(self):
-        if not self.snr_db > -math.inf:
-            raise ValueError(f"snr_db must be a finite SNR in dB or inf, got {self.snr_db}")
+        if not (-3000.0 <= self.snr_db <= 3000.0 or self.snr_db == math.inf):
+            raise ValueError(f"snr_db must be an SNR in [-3000, 3000] dB or inf, got {self.snr_db}")
         check_count("seed", self.seed, 0)
 
 

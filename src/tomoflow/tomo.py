@@ -8,8 +8,8 @@ exact matrix transpose of the forward map: the adjoint identity holds to
 rounding by construction.
 The matrix is assembled in blocks of at most ``BLOCK_SAMPLES`` line
 samples, several rays of one angle each, so only one block's line
-samples are held at once; the blocks are then copied into the final CSR
-arrays.
+samples are held at once; ``scipy.sparse.vstack`` then stacks the blocks
+into one CSR matrix, so the build peaks near twice the finished matrix.
 
 Inner products carry quadrature weights: hx*hy on images and
 hs*(pi/n_angles) on sinograms, approximating the continuum pairing over
@@ -130,22 +130,7 @@ def _system_matrix(grid: Grid2D, geom: SinogramGeometry) -> scipy.sparse.csr_mat
             ))
             del pixels, weights, keep
 
-    # the blocks are copied into the final arrays, each freed once copied
-    nnz = sum(block.nnz for block in blocks)
-    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-    indptr = np.empty(geom.n_angles * geom.n_detectors + 1, dtype=index)
-    indices = np.empty(nnz, dtype=index)
-    data = np.empty(nnz)
-    indptr[0] = row = end = 0
-    blocks.reverse()
-    while blocks:
-        block = blocks.pop()
-        start, end = end, end + block.nnz
-        indices[start:end] = block.indices
-        data[start:end] = block.data
-        np.add(block.indptr[1:], index(start), out=indptr[row + 1:row + 1 + block.shape[0]])
-        row += block.shape[0]
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_pixels))
+    return scipy.sparse.vstack(blocks, format="csr")
 
 
 def ray_transform(img: ScalarImage, geom: SinogramGeometry) -> Sinogram:

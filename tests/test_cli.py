@@ -85,6 +85,7 @@ def test_config_rejects_old_tv_iters_key(tmp_path):
     ("size = 32", "size = 1"),
     ("n_angles = 6", "n_angles = 0"),
     ("n_detectors = 48", "n_detectors = 1"),
+    ("size = 32", "size = 8"),
 ])
 def test_register_rejects_out_of_range_setting(tmp_path, capsys, old, new):
     path = tmp_path / "bad.ini"
@@ -99,6 +100,8 @@ def test_register_rejects_out_of_range_setting(tmp_path, capsys, old, new):
         assert err[0].startswith("config error: invalid [geometry] ") and err[0].endswith(f"got {value}")
     if "freq_scaling" in new:  # checked by the rule that fbp applies, before anything is built
         assert err == ["config error: invalid [fbp] freq_scaling must be in (0, 1], got 1.5"]
+    if new == "size = 8":  # too small for ssim, which scores the result: checked by ssim's rule
+        assert err == ["config error: invalid [phantom] size must be at least 11 pixels (the SSIM window), got 8"]
 
 
 def test_register_rejects_negative_seed_flag(tmp_path, capsys, config_path):
@@ -118,7 +121,21 @@ def test_register_rejects_negative_seed_flag(tmp_path, capsys, config_path):
     (lambda text: text.replace("gamma = 1e-7\n", ""), "results", EXIT_USAGE,
      "config error: missing key 'gamma' in section [registration]"),
     (lambda text: text, "file/results", EXIT_IO, "i/o error: [Errno 20] Not a directory: '{out}'"),
-], ids=["unreadable_file", "unknown_section", "missing_section", "missing_key", "out_below_a_file"])
+    # configparser's own errors, flattened to one line
+    (lambda text: text.replace("sigma = 4.0\n", "sigma = 4.0\nsigma = 5.0\n"), "results", EXIT_USAGE,
+     "config error: cannot parse config file {config}: While reading from '{config}' [line 18]: "
+     "option 'sigma' in section 'registration' already exists"),
+    (lambda text: text + "[phantom]\nsize = 16\n", "results", EXIT_USAGE,
+     "config error: cannot parse config file {config}: While reading from '{config}' [line 24]: "
+     "section 'phantom' already exists"),
+    (lambda text: "size = 32" + text, "results", EXIT_USAGE,
+     "config error: cannot parse config file {config}: File contains no section headers. "
+     "file: '{config}', line: 1 'size = 32\\n'"),
+    (lambda text: text.replace("sigma = 4.0\n", "sigma = 4.0\nwhatever\n"), "results", EXIT_USAGE,
+     "config error: cannot parse config file {config}: Source contains parsing errors: '{config}' "
+     "[line 18]: 'whatever\\n'"),
+], ids=["unreadable_file", "unknown_section", "missing_section", "missing_key", "out_below_a_file",
+        "duplicate_key", "duplicate_section", "no_section_header", "line_without_equals"])
 def test_register_error_paths(tmp_path, capsys, edit, out_name, code, line):
     """edit None leaves the config file unwritten."""
     config = tmp_path / "run.ini"
@@ -235,7 +252,7 @@ def test_register_numerical_failure_reports_detail(tmp_path, capsys):
     assert "numerical failure" in err and "time index" in err
 
 
-@pytest.mark.parametrize("snr_db", ["nan", "-inf"])
+@pytest.mark.parametrize("snr_db", ["nan", "-inf", "4000", "-4000"])
 def test_noise_rejects_undefined_snr(tmp_path, capsys, snr_db):
     phantom_path = tmp_path / "p.igrd"
     sino_path = tmp_path / "clean.isin"
@@ -275,7 +292,8 @@ def test_register_rejects_nan_registration_value(tmp_path, capsys, key, bound):
     ("alpha = 0.02", "alpha = inf", "[registration] alpha must be > 0 and finite, got inf"),
     ("[output]", "[tv]\nmu = inf\n\n[output]", "[tv] mu must be > 0 and finite, got inf"),
     ("seed = 11", "seed = -1", "[noise] seed must be an integer >= 0, got -1"),
-], ids=["gamma", "sigma", "alpha", "tv_mu", "noise_seed"])
+    ("snr_db = 6.0", "snr_db = 4000", "[noise] snr_db must be an SNR in [-3000, 3000] dB or inf, got 4000.0"),
+], ids=["gamma", "sigma", "alpha", "tv_mu", "noise_seed", "noise_snr"])
 def test_register_rejects_infinite_or_negative_setting(tmp_path, capsys, old, new, message):
     path = tmp_path / "bad.ini"
     path.write_text(CONFIG.replace(old, new))

@@ -215,9 +215,10 @@ def test_non_finite_mass_preserving_jacobian_stops_at_that_iteration(problem32, 
 def test_register_memory_is_bounded(problem32, action):
     # while an iterate is evaluated only it and the last finite iterate are
     # held; that one is freed before the gradient is allocated, the next
-    # iterate reuses the gradient's buffer, and no Jacobian chain is stored,
+    # iterate reuses the gradient's buffer, no Jacobian chain is stored and
+    # a step's displacement lives only while its characteristic is built,
     # so the peak stays near three velocity arrays and the per-step
-    # temporaries (3.44 geometric, 3.38 mass-preserving here)
+    # temporaries (3.395 geometric, 3.347 mass-preserving here)
     grid, geom, template, _, data = problem32
     cfg = small_cfg(action=action, n_steps=20, max_iters=3)
     register(template, data, geom, cfg)  # warm-up: the projector and its caches
@@ -228,7 +229,7 @@ def test_register_memory_is_bounded(problem32, action):
     finally:
         tracemalloc.stop()
     assert res.stop_reason is StopReason.MAX_ITERS
-    assert peak <= 3.5 * res.final_velocity.nbytes
+    assert peak <= 3.42 * res.final_velocity.nbytes
 
 
 def test_every_iteration_records_objective_and_grad_norm(problem32):

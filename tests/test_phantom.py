@@ -235,10 +235,16 @@ def test_infinite_snr_means_no_noise(star_sinogram):
     np.testing.assert_array_equal(out.values, star_sinogram.values)
 
 
-@pytest.mark.parametrize("target_db", [math.nan, -math.inf])
+@pytest.mark.parametrize("target_db", [math.nan, -math.inf, 4000.0, -4000.0])
 def test_noise_spec_rejects_undefined_snr(target_db):
     with pytest.raises(ValueError, match="SNR"):
         NoiseSpec(target_db, seed=5)
+
+
+@pytest.mark.parametrize("target_db", [-3000.0, 3000.0])
+def test_noise_at_the_snr_limits_is_finite(star_sinogram, target_db):
+    # 10**(snr_db / 10) is 1e-300 or 1e300, still a normal float64
+    assert np.isfinite(add_noise(star_sinogram, NoiseSpec(target_db, seed=5)).values).all()
 
 
 @pytest.mark.parametrize("seed", [1.5, None, "3"])
