@@ -2,15 +2,16 @@
 
 Subcommands: phantom, project, noise, register, fbp, tv, evaluate,
 suite. The register command is driven by an INI-style config file; all
-other commands take explicit flags. Exit codes: 0 success, 1 numerical
-failure during optimization, 2 bad arguments or config, 3 I/O failure.
+other commands take explicit flags. Every file is written through
+``io``: each image with its PGM preview, each table as CSV. Exit codes:
+0 success, 1 numerical failure during optimization, 2 bad arguments or
+config, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import math
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .experiments import SUITE_IDS, SuiteCase, run_case, run_suite
 from .grid import Grid2D
-from .io import read_igrd, read_isin, write_igrd, write_isin, write_pgm16
+from .io import read_igrd, read_isin, write_image, write_isin, write_table
 from .metrics import check_ssim_size, psnr, ssim
 from .optimize import RegistrationConfig, StopReason
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
@@ -58,7 +59,7 @@ def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, st
     are errors. Without [noise] the data are noise-free (noise.snr_db =
     inf). ``seed`` (``register --seed``) replaces the [noise] seed and is
     checked like it; it needs noisy data."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' is a plain character
     try:
         read = parser.read(path)
     except configparser.Error as exc:  # a duplicate, a line without '=', no section header
@@ -135,9 +136,7 @@ def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, st
 
 def cmd_phantom(args) -> int:
     img = make_phantom(PhantomSpec(args.kind, Grid2D(args.size, args.size)))
-    write_igrd(args.out, img)
-    if args.preview:
-        write_pgm16(Path(args.out).with_suffix(".pgm"), img)
+    write_image(args.out, img)
     return EXIT_OK
 
 
@@ -157,27 +156,22 @@ def cmd_noise(args) -> int:
 
 def cmd_fbp(args) -> int:
     rec = fbp(read_isin(args.sinogram), Grid2D(args.size, args.size), args.freq_scaling)
-    write_igrd(args.out, rec)
-    write_pgm16(Path(args.out).with_suffix(".pgm"), rec)
+    write_image(args.out, rec)
     return EXIT_OK
 
 
 def cmd_tv(args) -> int:
     grid = Grid2D(args.size, args.size)
     rec = tv_reconstruct(read_isin(args.sinogram), grid, TVConfig(mu=args.mu, n_iters=args.iters))
-    write_igrd(args.out, rec)
-    write_pgm16(Path(args.out).with_suffix(".pgm"), rec)
+    write_image(args.out, rec)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     img = read_igrd(args.image)
     ref = read_igrd(args.reference)
-    row = {"image": str(args.image), "ssim": f"{ssim(img, ref):.6f}", "psnr": f"{psnr(img, ref):.4f}"}
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
+    write_table(args.out, ["image", "ssim", "psnr"],
+                [[str(args.image), f"{ssim(img, ref):.6f}", f"{psnr(img, ref):.4f}"]])
     return EXIT_OK
 
 
@@ -215,10 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phantom", help="rasterize a phantom to IGRD")
+    p = sub.add_parser("phantom", help="rasterize a phantom to IGRD, with a PGM preview")
     p.add_argument("--kind", required=True, help=", ".join(k.value for k in PhantomKind))
     p.add_argument("--size", type=int, default=256)
-    p.add_argument("--preview", action="store_true", help="also write a PGM preview")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_phantom)
 

@@ -7,15 +7,15 @@ Suite 3: (sigma, gamma) sensitivity sweep on the head phantom, scored by
 Suite 4: topology mismatch, template missing / having an extra object.
 
 Each case, and each ``tomoflow register`` config, runs through
-``run_case``, which writes the transported-template trajectory (IGRD plus
-PGM previews), a per-iteration objective CSV, a metrics CSV, the
-baselines and a JSON manifest holding the whole case record into its
-output directory.
+``run_case``, which writes the template, the target, the
+transported-template trajectory and the baselines (each an IGRD with its
+PGM preview), the data, a per-iteration objective CSV, a metrics CSV and
+a JSON manifest holding the whole case record into its output
+directory. Every file is written through ``io``.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .grid import Grid2D
-from .io import write_igrd, write_isin, write_manifest, write_pgm16
+from .io import write_image, write_isin, write_manifest, write_table
 from .metrics import measure_snr, psnr, ssim
 from .optimize import RegistrationConfig, RegistrationResult, register
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
@@ -152,34 +152,29 @@ def run_case(case: SuiteCase, out_dir: Path) -> CaseResult:
     res = CaseResult(case, reg, ssim_final=ssim(final, target), psnr_final=psnr(final, target))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_igrd(out_dir / "template.igrd", template)
-    write_igrd(out_dir / "target.igrd", target)
+    write_image(out_dir / "template.igrd", template)
+    write_image(out_dir / "target.igrd", target)
     write_isin(out_dir / "data.isin", data)
     for i, img in enumerate(reg.trajectory):
-        write_igrd(out_dir / f"trajectory_{i:03d}.igrd", img)
-        write_pgm16(out_dir / f"trajectory_{i:03d}.pgm", img)
-    with open(out_dir / "objective.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "total", "penalty", "discrepancy", "grad_norm"])
-        for k, (value, grad_norm) in enumerate(zip(reg.objective_history, reg.grad_norms)):
-            writer.writerow([k, value.total, value.penalty, value.discrepancy, grad_norm])
+        write_image(out_dir / f"trajectory_{i:03d}.igrd", img)
+    write_table(out_dir / "objective.csv", ["iteration", "total", "penalty", "discrepancy", "grad_norm"],
+                ([k, value.total, value.penalty, value.discrepancy, grad_norm]
+                 for k, (value, grad_norm) in enumerate(zip(reg.objective_history, reg.grad_norms))))
     snr = measure_snr(clean, data) if math.isfinite(case.noise.snr_db) else math.inf  # noise-free
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "ssim", "psnr_db", "snr_db", "iterations", "stop_reason"])
-        writer.writerow(
-            [
-                case.name,
-                f"{res.ssim_final:.6f}",
-                f"{res.psnr_final:.4f}",
-                f"{snr:.4f}",
-                reg.iterations_run,
-                reg.stop_reason.value,
-            ]
-        )
+    write_table(
+        out_dir / "metrics.csv",
+        ["name", "ssim", "psnr_db", "snr_db", "iterations", "stop_reason"],
+        [[
+            case.name,
+            f"{res.ssim_final:.6f}",
+            f"{res.psnr_final:.4f}",
+            f"{snr:.4f}",
+            reg.iterations_run,
+            reg.stop_reason.value,
+        ]],
+    )
     for name, rec in baselines.items():
-        write_igrd(out_dir / f"{name}.igrd", rec)
-        write_pgm16(out_dir / f"{name}.pgm", rec)
+        write_image(out_dir / f"{name}.igrd", rec)
     write_manifest(
         out_dir / "manifest.json",
         {"case": case_record(case), "config_sha256": case_hash(case), "version": __version__},
@@ -211,15 +206,9 @@ def run_suite(suite_id: int, out_dir, full: bool = False) -> list[CaseResult]:
 
 def _write_suite3_table(results: list[CaseResult], path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "sigma", "ssim", "psnr"])
-        for res in results:
-            writer.writerow(
-                [
-                    f"{res.case.cfg.gamma:g}",
-                    f"{res.case.cfg.sigma:g}",
-                    f"{res.ssim_final:.6f}",
-                    f"{res.psnr_final:.4f}",
-                ]
-            )
+    write_table(path, ["gamma", "sigma", "ssim", "psnr"], ([
+        f"{res.case.cfg.gamma:g}",
+        f"{res.case.cfg.sigma:g}",
+        f"{res.ssim_final:.6f}",
+        f"{res.psnr_final:.4f}",
+    ] for res in results))

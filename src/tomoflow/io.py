@@ -1,4 +1,6 @@
-"""File formats: IGRD grids, ISIN sinograms, 16-bit PGM previews, manifests.
+"""File formats: IGRD grids, ISIN sinograms, 16-bit PGM previews, CSV
+tables, manifests. This is the one module of the package that writes
+files: the CLI and the experiment runner write every output through it.
 
 Both binary formats are one little-endian container: a magic, version
 byte 1, two u32 sizes, f64 extents, then the f64 values. IGRD: magic
@@ -10,9 +12,11 @@ truncated files and non-finite values.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -85,6 +89,25 @@ def write_pgm16(path, img: ScalarImage) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{g.nx} {g.ny}\n65535\n".encode("ascii"))
         fh.write(pixels.tobytes())
+
+
+def write_image(path, img: ScalarImage) -> None:
+    """The IGRD at ``path`` and its 16-bit PGM preview at ``path`` with the
+    suffix ``.pgm``. A path that is its own preview's path is refused
+    before anything is written, so the preview never overwrites the image."""
+    preview = Path(path).with_suffix(".pgm")
+    if preview == Path(path):
+        raise ValueError(f"{path}: an image path must not end in .pgm, the suffix of its preview")
+    write_igrd(path, img)
+    write_pgm16(preview, img)
+
+
+def write_table(path, header: list, rows) -> None:
+    """A CSV file in ``csv``'s default dialect: the header row, then the rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_manifest(path, entries: dict) -> None:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from tomoflow import Grid2D, ScalarImage
+from tomoflow import Grid2D, NoiseSpec, PhantomKind, RegistrationConfig, ScalarImage
+from tomoflow.experiments import SuiteCase
 from tomoflow.kernel import make_kernel, smooth
 
 
@@ -37,3 +40,19 @@ def random_smooth_field(grid, seed, sigma=4.0, amplitude=1.0):
 def integrate(img):
     """Midpoint-rule integral: sum of values times the pixel area."""
     return float(np.sum(img.values) * img.grid.cell_area)
+
+
+def tiny_suite_case(name, **cfg):
+    """A noise-free 16^2 one-star suite case of two iterations and five time
+    steps; ``cfg`` replaces registration settings."""
+    settings = dict(gamma=1e-7, sigma=4.0, alpha=0.02, n_steps=5, max_iters=2)
+    return SuiteCase(
+        name=name,
+        grid=Grid2D(16, 16),
+        n_angles=4,
+        n_detectors=24,
+        template_kind=PhantomKind.SINGLE_STAR_TEMPLATE,
+        target_kind=PhantomKind.SINGLE_STAR_TARGET,
+        noise=NoiseSpec(math.inf),
+        cfg=RegistrationConfig(**dict(settings, **cfg)),
+    )

@@ -8,6 +8,8 @@ import struct
 
 import pytest
 
+import tomoflow.experiments as experiments
+from conftest import tiny_suite_case
 from tomoflow.cli import (
     EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, ConfigError, build_parser, load_experiment_config, main,
 )
@@ -134,8 +136,15 @@ def test_register_rejects_negative_seed_flag(tmp_path, capsys, config_path):
     (lambda text: text.replace("sigma = 4.0\n", "sigma = 4.0\nwhatever\n"), "results", EXIT_USAGE,
      "config error: cannot parse config file {config}: Source contains parsing errors: '{config}' "
      "[line 18]: 'whatever\\n'"),
+    # a '%' is a plain character: no interpolation error, a value that does not parse
+    (lambda text: text.replace("sigma = 4.0", "sigma = 6%"), "results", EXIT_USAGE,
+     "config error: bad value for [registration] sigma = '6%': could not convert string to float: '6%'"),
+    (lambda text: text.replace("sigma = 4.0", "sigma = %(size)s"), "results", EXIT_USAGE,
+     "config error: bad value for [registration] sigma = '%(size)s': "
+     "could not convert string to float: '%(size)s'"),
 ], ids=["unreadable_file", "unknown_section", "missing_section", "missing_key", "out_below_a_file",
-        "duplicate_key", "duplicate_section", "no_section_header", "line_without_equals"])
+        "duplicate_key", "duplicate_section", "no_section_header", "line_without_equals",
+        "percent_sign", "interpolation_syntax"])
 def test_register_error_paths(tmp_path, capsys, edit, out_name, code, line):
     """edit None leaves the config file unwritten."""
     config = tmp_path / "run.ini"
@@ -146,6 +155,12 @@ def test_register_error_paths(tmp_path, capsys, edit, out_name, code, line):
     assert main(["register", "--config", str(config), "--out", str(out)]) == code
     assert capsys.readouterr().err.strip().splitlines() == [line.format(config=config, out=out)]
     assert not out.exists()
+
+
+def test_config_reads_percent_literally(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(CONFIG.replace("dir = out", "dir = out%1"))
+    assert load_experiment_config(path)[1] == "out%1"
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -405,7 +420,7 @@ def test_fbp_rejects_infinite_detector_extent(tmp_path, capsys):
     rc = main(["fbp", "--sinogram", str(sino_path), "--size", "16", "--out", str(rec_path)])
     assert rc == EXIT_USAGE
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.igrd", "p.isin"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.igrd", "p.isin", "p.pgm"]
 
 
 def test_unknown_phantom_kind_exit(tmp_path):
@@ -415,3 +430,80 @@ def test_unknown_phantom_kind_exit(tmp_path):
 
 def test_invalid_suite_id():
     assert main(["suite", "--id", "9"]) == EXIT_USAGE
+
+
+IMAGE_COMMANDS = {
+    "phantom": ["phantom", "--kind", "shepp-logan", "--size", "16"],
+    "fbp": ["fbp", "--sinogram", "{sino}", "--size", "16"],
+    "tv": ["tv", "--sinogram", "{sino}", "--size", "16", "--mu", "1.0", "--iters", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(IMAGE_COMMANDS))
+def test_image_commands_write_a_preview_and_refuse_a_pgm_out(tmp_path, capsys, command):
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    sino = inputs / "p.isin"
+    assert main(["phantom", "--kind", "shepp-logan", "--size", "16", "--out", str(inputs / "p.igrd")]) == EXIT_OK
+    assert main(["project", "--image", str(inputs / "p.igrd"), "--angles", "4", "--detectors", "24",
+                 "--out", str(sino)]) == EXIT_OK
+    argv = [arg.format(sino=sino) for arg in IMAGE_COMMANDS[command]]
+    assert main(argv + ["--out", str(outputs / "rec.igrd")]) == EXIT_OK
+    assert sorted(p.name for p in outputs.iterdir()) == ["rec.igrd", "rec.pgm"]
+    assert read_igrd(outputs / "rec.igrd").grid.nx == 16
+    assert (outputs / "rec.pgm").read_bytes().startswith(b"P5\n16 16\n65535\n")
+    (outputs / "rec.igrd").unlink()
+    (outputs / "rec.pgm").unlink()
+    capsys.readouterr()
+    # the preview would overwrite the image it was made from
+    bad = outputs / "rec.pgm"
+    assert main(argv + ["--out", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {bad}: an image path must not end in .pgm, the suffix of its preview"]
+    assert not any(outputs.iterdir())
+
+
+def test_phantom_has_no_preview_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["phantom", "--kind", "shepp-logan", "--size", "16", "--preview", "--out", str(tmp_path / "p.igrd")])
+    assert exc.value.code == EXIT_USAGE
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["IGRD", "ISIN"])
+def test_unsupported_format_version_is_usage_error(tmp_path, capsys, kind):
+    phantom_path = tmp_path / "p.igrd"
+    sino_path = tmp_path / "p.isin"
+    assert main(["phantom", "--kind", "shepp-logan", "--size", "16", "--out", str(phantom_path)]) == EXIT_OK
+    assert main(["project", "--image", str(phantom_path), "--angles", "4", "--detectors", "24",
+                 "--out", str(sino_path)]) == EXIT_OK
+    bad = phantom_path if kind == "IGRD" else sino_path
+    raw = bytearray(bad.read_bytes())
+    raw[4] = 2  # the version byte after the magic
+    bad.write_bytes(bytes(raw))
+    out = tmp_path / "result.igrd"
+    if kind == "IGRD":
+        argv = ["evaluate", "--image", str(bad), "--reference", str(bad), "--out", str(out)]
+    else:
+        argv = ["fbp", "--sinogram", str(bad), "--size", "16", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}: unsupported {kind} version 2"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.igrd", "p.isin", "p.pgm"]
+
+
+def test_suite_reports_each_numerical_failure(tmp_path, capsys, monkeypatch):
+    cases = [tiny_suite_case("calm"), tiny_suite_case("violent_a", alpha=1e6, n_steps=2),
+             tiny_suite_case("violent_b", alpha=1e6, n_steps=2)]
+    monkeypatch.setattr(experiments, "suite_cases", lambda suite_id, full=False: cases)
+    assert main(["suite", "--id", "1", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    out = captured.out.strip().splitlines()
+    assert [line.split(":")[0] for line in out] == ["calm", "violent_a", "violent_b"]
+    assert out[0].endswith("stop=max_iters")
+    assert all(line.endswith("stop=numerical_failure") for line in out[1:])
+    err = captured.err.strip().splitlines()
+    assert [line.split(": ", 1)[0] for line in err] == ["violent_a", "violent_b"]
+    assert all("time index" in line for line in err)
+    for case in cases:  # a failed case still writes its files
+        assert (tmp_path / case.name / "metrics.csv").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_blob, random_smooth_field
-from tomoflow import Grid2D, GroupAction, ScalarImage
+from tomoflow import Grid2D, GridMismatchError, GroupAction, ScalarImage
 from tomoflow.flow import (
     FlowStabilityError,
     attach_backprop_field,
@@ -267,6 +267,14 @@ def test_flow_stability_error_on_violent_field(grid16, action):
     index = 2 if geometric else 1
     with pytest.raises(FlowStabilityError, match=f"at time index {index};"):
         build_flow_chain(ScalarImage.full(grid16, 1.0), nu, action)
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_chain_rejects_a_velocity_of_another_grid(grid16, action):
+    nu = np.zeros((4, 2, 32, 32))
+    with pytest.raises(GridMismatchError,
+                       match=r"^velocity shape \(4, 2, 32, 32\) does not match template grid \(16, 16\)$"):
+        build_flow_chain(ScalarImage.zeros(grid16), nu, action)
 
 
 @pytest.mark.parametrize("action", list(GroupAction))

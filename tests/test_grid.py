@@ -53,6 +53,12 @@ def test_grid_rejects_non_finite_extent(extent):
         Grid2D(4, 4, *extent)
 
 
+def test_scalar_image_rejects_a_wrong_shape(grid16):
+    with pytest.raises(ValueError, match=r"^field shape \(16, 15\) does not match grid \(16, 16\)$") as exc:
+        ScalarImage(grid16, np.zeros((16, 15)))
+    assert exc.type is ValueError
+
+
 def test_sample_identity_displacement(grid32):
     rng = np.random.default_rng(0)
     img = rng.standard_normal(grid32.shape)

@@ -109,6 +109,11 @@ def test_ssim_needs_window_sized_images():
         ssim(ScalarImage.zeros(g), ScalarImage.zeros(g))
 
 
+def test_psnr_grid_mismatch(grid16, grid32):
+    with pytest.raises(GridMismatchError, match="^psnr needs both images on one grid$"):
+        psnr(ScalarImage.zeros(grid16), ScalarImage.zeros(grid32))
+
+
 def test_psnr_uniform_difference(grid16):
     a = ScalarImage.full(grid16, 0.6)
     b = ScalarImage.full(grid16, 0.5)
@@ -179,3 +184,10 @@ def test_measure_snr_rejects_zero_noise(geom16):
     ideal = Sinogram(geom16, rng.standard_normal(geom16.shape))
     with pytest.raises(ValueError):
         measure_snr(ideal, ideal)
+
+
+def test_measure_snr_rejects_two_geometries(geom16):
+    other = make_parallel_geometry(Grid2D(16, 16), 5, 16)
+    with pytest.raises(ValueError, match="^sinogram geometries differ$") as exc:
+        measure_snr(Sinogram.zeros(geom16), Sinogram.zeros(other))
+    assert exc.type is ValueError

@@ -48,6 +48,14 @@ def test_perfect_data_stops_immediately(problem32):
     np.testing.assert_array_equal(res.final_velocity, 0.0)
 
 
+def test_register_rejects_data_of_another_geometry(problem32):
+    grid, geom, template, _, data = problem32
+    other = make_parallel_geometry(grid, 5, 48)
+    with pytest.raises(ValueError, match="^sinogram geometry does not match the requested geometry$") as exc:
+        register(template, data, other, small_cfg())
+    assert exc.type is ValueError
+
+
 def test_single_step_descends(problem32):
     grid, geom, template, _, data = problem32
     res = register(template, data, geom, small_cfg(max_iters=1))

@@ -52,6 +52,13 @@ def test_geometry_rejects_non_finite_extent(s_min, s_max):
         SinogramGeometry(n_angles=4, n_detectors=8, s_min=s_min, s_max=s_max)
 
 
+def test_sinogram_rejects_a_wrong_shape(grid32):
+    geom = make_parallel_geometry(grid32, 6, 48)
+    with pytest.raises(ValueError, match=r"^sinogram shape \(6, 47\) != geometry \(6, 48\)$") as exc:
+        Sinogram(geom, np.zeros((6, 47)))
+    assert exc.type is ValueError
+
+
 def test_zero_image_zero_sinogram(grid32):
     geom = make_parallel_geometry(grid32, 6, 48)
     sino = ray_transform(ScalarImage.zeros(grid32), geom)
