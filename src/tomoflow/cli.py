@@ -19,9 +19,9 @@ import typing
 from pathlib import Path
 
 from . import __version__
-from .experiments import SUITE_IDS, SuiteCase, run_case, run_suite
+from .experiments import SuiteCase, run_case, run_suite
 from .grid import Grid2D
-from .io import read_igrd, read_isin, write_image, write_isin, write_table
+from .io import preview_path, read_igrd, read_isin, write_image, write_isin, write_table
 from .metrics import check_ssim_size, psnr, ssim
 from .optimize import RegistrationConfig, StopReason
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
@@ -135,6 +135,7 @@ def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, st
 
 
 def cmd_phantom(args) -> int:
+    preview_path(args.out)  # a .pgm --out raises here, before any work
     img = make_phantom(PhantomSpec(args.kind, Grid2D(args.size, args.size)))
     write_image(args.out, img)
     return EXIT_OK
@@ -155,12 +156,14 @@ def cmd_noise(args) -> int:
 
 
 def cmd_fbp(args) -> int:
+    preview_path(args.out)  # a .pgm --out raises here, before any work
     rec = fbp(read_isin(args.sinogram), Grid2D(args.size, args.size), args.freq_scaling)
     write_image(args.out, rec)
     return EXIT_OK
 
 
 def cmd_tv(args) -> int:
+    preview_path(args.out)  # a .pgm --out raises here, before any work
     grid = Grid2D(args.size, args.size)
     rec = tv_reconstruct(read_isin(args.sinogram), grid, TVConfig(mu=args.mu, n_iters=args.iters))
     write_image(args.out, rec)
@@ -186,11 +189,7 @@ def cmd_register(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if args.id not in SUITE_IDS:
-        print(f"suite: invalid suite id {args.id}; valid ids: {SUITE_IDS}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = Path(args.out or f"suite{args.id}_out")
-    results = run_suite(args.id, out_dir, full=args.full)
+    results = run_suite(args.id, args.out or f"suite{args.id}_out", full=args.full)
     for res in results:
         print(f"{res.case.name}: ssim={res.ssim_final:.4f} psnr={res.psnr_final:.2f} "
               f"stop={res.registration.stop_reason.value}")

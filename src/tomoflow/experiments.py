@@ -28,7 +28,7 @@ from .io import write_image, write_isin, write_manifest, write_table
 from .metrics import measure_snr, psnr, ssim
 from .optimize import RegistrationConfig, RegistrationResult, register
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
-from .tomo import fbp, make_parallel_geometry, ray_transform
+from .tomo import check_freq_scaling, fbp, make_parallel_geometry, ray_transform
 from .tv import TVConfig, tv_reconstruct
 
 SUITE_IDS = (1, 2, 3, 4)
@@ -135,11 +135,15 @@ class CaseResult:
 
 def run_case(case: SuiteCase, out_dir: Path) -> CaseResult:
     """Simulate the case's data, compute its baselines, register, and write
-    every output file. A bad geometry or baseline setting raises before the
-    solve and before anything is written."""
+    every output file. A bad geometry or baseline setting raises before
+    anything is written; ``out_dir`` is made before any work, so a path
+    that cannot be a directory fails at once."""
+    geom = make_parallel_geometry(case.grid, case.n_angles, case.n_detectors)
+    if case.fbp_freq_scaling is not None:
+        check_freq_scaling(case.fbp_freq_scaling)
+    out_dir.mkdir(parents=True, exist_ok=True)
     template = make_phantom(PhantomSpec(case.template_kind, case.grid))
     target = make_phantom(PhantomSpec(case.target_kind, case.grid))
-    geom = make_parallel_geometry(case.grid, case.n_angles, case.n_detectors)
     clean = ray_transform(target, geom)
     data = add_noise(clean, case.noise)
     baselines = {}
@@ -151,7 +155,6 @@ def run_case(case: SuiteCase, out_dir: Path) -> CaseResult:
     final = reg.trajectory[-1]
     res = CaseResult(case, reg, ssim_final=ssim(final, target), psnr_final=psnr(final, target))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_image(out_dir / "template.igrd", template)
     write_image(out_dir / "target.igrd", target)
     write_isin(out_dir / "data.isin", data)
@@ -194,11 +197,8 @@ def case_hash(case: SuiteCase) -> str:
 
 
 def run_suite(suite_id: int, out_dir, full: bool = False) -> list[CaseResult]:
-    cases = suite_cases(suite_id, full=full)
     out_dir = Path(out_dir)
-    results = []
-    for case in cases:
-        results.append(run_case(case, out_dir / case.name))
+    results = [run_case(case, out_dir / case.name) for case in suite_cases(suite_id, full=full)]
     if suite_id == 3:
         _write_suite3_table(results, out_dir / "suite3_scores.csv")
     return results

@@ -32,9 +32,7 @@ the objective is evaluated. Each sweep allocates the chain it returns; a
 step's displacement lives only while its characteristic is built, and
 that characteristic is freed before the next step builds its own.
 Nothing is shared between evaluations, and a chain is a function of its
-velocity alone: ``optimize.register`` keeps no chain between evaluations
-and, when one fails, rebuilds the last finite iterate's chain from that
-velocity.
+velocity alone.
 """
 
 from __future__ import annotations

@@ -91,13 +91,20 @@ def write_pgm16(path, img: ScalarImage) -> None:
         fh.write(pixels.tobytes())
 
 
-def write_image(path, img: ScalarImage) -> None:
-    """The IGRD at ``path`` and its 16-bit PGM preview at ``path`` with the
-    suffix ``.pgm``. A path that is its own preview's path is refused
-    before anything is written, so the preview never overwrites the image."""
+def preview_path(path) -> Path:
+    """The path of the PGM preview of the image at ``path``: ``path`` with
+    the suffix ``.pgm``. A path that is its own preview's path raises
+    ValueError, so the preview never overwrites the image."""
     preview = Path(path).with_suffix(".pgm")
     if preview == Path(path):
         raise ValueError(f"{path}: an image path must not end in .pgm, the suffix of its preview")
+    return preview
+
+
+def write_image(path, img: ScalarImage) -> None:
+    """The IGRD at ``path`` and its 16-bit PGM preview at ``preview_path(path)``,
+    which is checked before anything is written."""
+    preview = preview_path(path)
     write_igrd(path, img)
     write_pgm16(preview, img)
 

@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+import tomoflow.cli as cli
 import tomoflow.experiments as experiments
 from conftest import tiny_suite_case
 from tomoflow.cli import (
@@ -428,8 +429,39 @@ def test_unknown_phantom_kind_exit(tmp_path):
     assert rc == EXIT_USAGE
 
 
-def test_invalid_suite_id():
+def test_invalid_suite_id(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default --out, suite9_out, is made here if anywhere
     assert main(["suite", "--id", "9"]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip().splitlines() == ["error: unknown suite id 9; valid ids: (1, 2, 3, 4)"]
+    assert not any(tmp_path.iterdir())
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap the named functions where ``module`` looks them up; the returned
+    dict counts each one's calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["register", "--config", "{config}", "--out", "{file}/run"], "{file}/run"),
+    (["suite", "--id", "1", "--out", "{file}/s"], "{file}/s/suite1"),
+], ids=["register", "suite"])
+def test_an_output_directory_below_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, out):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG)
+    file = tmp_path / "file"
+    file.write_text("a regular file, not a directory")
+    calls = count_calls(monkeypatch, experiments, ["register", "fbp", "tv_reconstruct"])
+    assert main([arg.format(config=config, file=file) for arg in argv]) == EXIT_IO
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"i/o error: [Errno 20] Not a directory: '{out.format(file=file)}'"]
+    assert calls == {"register": 0, "fbp": 0, "tv_reconstruct": 0}
 
 
 IMAGE_COMMANDS = {
@@ -440,7 +472,7 @@ IMAGE_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", list(IMAGE_COMMANDS))
-def test_image_commands_write_a_preview_and_refuse_a_pgm_out(tmp_path, capsys, command):
+def test_image_commands_write_a_preview_and_refuse_a_pgm_out(tmp_path, capsys, monkeypatch, command):
     inputs, outputs = tmp_path / "in", tmp_path / "out"
     inputs.mkdir()
     outputs.mkdir()
@@ -456,12 +488,15 @@ def test_image_commands_write_a_preview_and_refuse_a_pgm_out(tmp_path, capsys, c
     (outputs / "rec.igrd").unlink()
     (outputs / "rec.pgm").unlink()
     capsys.readouterr()
-    # the preview would overwrite the image it was made from
+    # the preview would overwrite the image it was made from: refused before
+    # the command reads or computes anything
+    calls = count_calls(monkeypatch, cli, ["make_phantom", "read_isin", "fbp", "tv_reconstruct"])
     bad = outputs / "rec.pgm"
     assert main(argv + ["--out", str(bad)]) == EXIT_USAGE
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: {bad}: an image path must not end in .pgm, the suffix of its preview"]
     assert not any(outputs.iterdir())
+    assert calls == {"make_phantom": 0, "read_isin": 0, "fbp": 0, "tv_reconstruct": 0}
 
 
 def test_phantom_has_no_preview_flag(tmp_path):

@@ -1,8 +1,8 @@
-"""The benchmark and the README drive tomoflow by name: keep those names
-resolvable, and keep the calls per objective evaluation that the
-benchmark pins. Every name a tomoflow module or a ``tools/`` script
-imports is used, and ``import tomoflow`` loads no scipy subpackage that
-the package does not use.
+"""The benchmark, the README and the installed ``tomoflow`` command drive
+tomoflow by name: keep those names resolvable, and keep the calls per
+objective evaluation that the benchmark pins. Every name a tomoflow
+module or a ``tools/`` script imports is used, and ``import tomoflow``
+loads no scipy subpackage that the package does not use.
 
 ``perfbench/worker.py`` and the README call the library as ``tf.X``,
 ``perfbench/tracer.py`` times the ``(module, function)`` pairs in
@@ -24,6 +24,7 @@ import tomoflow
 from conftest import gaussian_blob
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(tomoflow.__file__).resolve().parent
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -50,6 +51,15 @@ def test_worker_names_are_exported():
         names = set(re.findall(r"\btf\.([A-Za-z_]\w*)", source))
         assert names, "no tf.X calls found"
         assert sorted(n for n in names if n not in tomoflow.__all__) == []
+
+
+def test_console_script_resolves_to_a_callable():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with PYPROJECT.open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"tomoflow": "tomoflow.cli:main"}
+    module, _, name = scripts["tomoflow"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_traced_pairs_resolve_to_callables():
