@@ -2,7 +2,12 @@
 
 Subcommands: phantom, project, noise, register, fbp, tv, evaluate,
 suite. The register command is driven by an INI-style config file; all
-other commands take explicit flags. Every file is written through
+other commands take explicit flags. Each INI section is built by one
+callable in ``_SECTIONS``, whose parameters are the section's keys, and
+one reader applies that rule to every section. ``register`` and
+``suite`` end in ``report``: one line per case on stdout, and a line
+per numerical failure on stderr. The single-step commands check their
+``--out`` directory before any work. Every file is written through
 ``io``: each image with its PGM preview, each table as CSV. Exit codes:
 0 success, 1 numerical failure during optimization, 2 bad arguments or
 config, 3 I/O failure.
@@ -12,16 +17,15 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
+import inspect
 import math
 import sys
-import typing
 from pathlib import Path
 
 from . import __version__
 from .experiments import SuiteCase, run_case, run_suite
 from .grid import Grid2D
-from .io import preview_path, read_igrd, read_isin, write_image, write_isin, write_table
+from .io import check_output_dir, preview_path, read_igrd, read_isin, write_image, write_isin, write_table
 from .metrics import check_ssim_size, psnr, ssim
 from .optimize import RegistrationConfig, StopReason
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
@@ -40,17 +44,59 @@ class ConfigError(ValueError):
 
 # --- register config -----------------------------------------------------
 
-# [noise], [registration] and [tv] are read by one rule: their keys are
-# the fields of NoiseSpec, RegistrationConfig and TVConfig
-_SECTION_CONFIGS = {"noise": NoiseSpec, "registration": RegistrationConfig, "tv": TVConfig}
-_CONFIG_SCHEMA = {
-    "phantom": {"template_kind", "target_kind", "size"},
-    "geometry": {"n_angles", "n_detectors"},
-    **{section: {f.name for f in dataclasses.fields(cls)} for section, cls in _SECTION_CONFIGS.items()},
-    "fbp": {"freq_scaling"},
-    "output": {"dir"},
+
+def _phantom(size: int, template_kind: PhantomKind, target_kind: PhantomKind):
+    """The case's square grid, which SSIM's window must fit (run_case
+    scores its result with ssim), and its two phantom kinds."""
+    grid = Grid2D(size, size)
+    check_ssim_size(size)
+    return grid, template_kind, target_kind
+
+
+def _output(dir: str = "out") -> str:
+    return dir
+
+
+# Each INI section and the callable that builds it. The section's keys are
+# the callable's parameters, less those that the reader passes itself;
+# each is read by its annotated type, and one without a default is required.
+_SECTIONS = {
+    "phantom": _phantom,
+    "geometry": make_parallel_geometry,
+    "noise": NoiseSpec,
+    "registration": RegistrationConfig,
+    "fbp": check_freq_scaling,
+    "tv": TVConfig,
+    "output": _output,
 }
-_REQUIRED_SECTIONS = ("phantom", "geometry", "registration")
+
+
+def _read_section(parser: configparser.ConfigParser, section: str, **given):
+    """Build ``section`` of ``parser`` by its callable in ``_SECTIONS``,
+    from the keys that are present and the ``given`` values. A missing
+    section, an unknown or missing key, a value that its type does not
+    parse and a value that the callable rejects each raise ConfigError."""
+    if section not in parser:
+        raise ConfigError(f"missing required section [{section}]")
+    make = _SECTIONS[section]
+    params = {name: p for name, p in inspect.signature(make, eval_str=True).parameters.items()
+              if name not in given}
+    for key in parser[section]:
+        if key not in params:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    for name, param in params.items():
+        if name in parser[section]:
+            raw = parser[section][name]
+            try:
+                given[name] = param.annotation(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{section}] {name} = {raw!r}: {exc}") from exc
+        elif param.default is param.empty:
+            raise ConfigError(f"missing key {name!r} in section [{section}]")
+    try:
+        return make(**given)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [{section}] {exc}") from exc
 
 
 def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, str]:
@@ -67,68 +113,29 @@ def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, st
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    for section in _REQUIRED_SECTIONS:
-        if section not in parser:
-            raise ConfigError(f"missing required section [{section}]")
-
-    def need(section, key, convert):
-        if key not in parser[section]:
-            raise ConfigError(f"missing key {key!r} in section [{section}]")
-        raw = parser[section][key]
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
-
-    def build(section, make, **values):
-        try:
-            return make(**values)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [{section}] {exc}") from exc
-
-    def section_config(section):
-        # the config class holds the defaults and ranges: pass on the keys
-        # that are present (and the required ones, so that a missing one is
-        # named), each converted by the type of its field
-        cls = _SECTION_CONFIGS[section]
-        types = typing.get_type_hints(cls)
-        return build(section, cls, **{
-            f.name: need(section, f.name, types[f.name])
-            for f in dataclasses.fields(cls)
-            if f.name in parser[section] or f.default is dataclasses.MISSING
-        })
-
     if seed is not None and "noise" in parser:
         parser["noise"]["seed"] = str(seed)  # built and checked as the [noise] seed
-    size = need("phantom", "size", int)
-    grid = build("phantom", Grid2D, nx=size, ny=size)
-    build("phantom", check_ssim_size, size=size)  # run_case scores its result with ssim
+    grid, template_kind, target_kind = _read_section(parser, "phantom")
     # the geometry that run_case builds, so that its ranges are checked here
-    geom = build("geometry", make_parallel_geometry, grid=grid,
-                 n_angles=need("geometry", "n_angles", int),
-                 n_detectors=need("geometry", "n_detectors", int))
+    geom = _read_section(parser, "geometry", grid=grid)
     case = SuiteCase(
         name=Path(path).stem,
         grid=grid,
         n_angles=geom.n_angles,
         n_detectors=geom.n_detectors,
-        template_kind=need("phantom", "template_kind", PhantomKind),
-        target_kind=need("phantom", "target_kind", PhantomKind),
-        noise=section_config("noise") if "noise" in parser else NoiseSpec(math.inf),
-        cfg=section_config("registration"),
-        fbp_freq_scaling=(build("fbp", check_freq_scaling, freq_scaling=need("fbp", "freq_scaling", float))
-                          if "fbp" in parser else None),
-        tv=section_config("tv") if "tv" in parser else None,
+        template_kind=template_kind,
+        target_kind=target_kind,
+        noise=_read_section(parser, "noise") if "noise" in parser else NoiseSpec(math.inf),
+        cfg=_read_section(parser, "registration"),
+        fbp_freq_scaling=_read_section(parser, "fbp") if "fbp" in parser else None,
+        tv=_read_section(parser, "tv") if "tv" in parser else None,
     )
     if seed is not None and math.isinf(case.noise.snr_db):
         # a seed that draws nothing would still change the run's config_sha256
         raise ConfigError("--seed needs noisy data, but the config's data are noise-free")
-    return case, parser.get("output", "dir", fallback="out")
+    return case, _read_section(parser, "output") if "output" in parser else _output()
 
 
 # --- commands --------------------------------------------------------------
@@ -136,12 +143,14 @@ def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, st
 
 def cmd_phantom(args) -> int:
     preview_path(args.out)  # a .pgm --out raises here, before any work
+    check_output_dir(args.out)
     img = make_phantom(PhantomSpec(args.kind, Grid2D(args.size, args.size)))
     write_image(args.out, img)
     return EXIT_OK
 
 
 def cmd_project(args) -> int:
+    check_output_dir(args.out)
     img = read_igrd(args.image)
     geom = make_parallel_geometry(img.grid, args.angles, args.detectors)
     write_isin(args.out, ray_transform(img, geom))
@@ -149,6 +158,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    check_output_dir(args.out)
     sino = read_isin(args.sinogram)
     noisy = add_noise(sino, NoiseSpec(args.snr_db, args.seed))
     write_isin(args.out, noisy)
@@ -157,6 +167,7 @@ def cmd_noise(args) -> int:
 
 def cmd_fbp(args) -> int:
     preview_path(args.out)  # a .pgm --out raises here, before any work
+    check_output_dir(args.out)
     rec = fbp(read_isin(args.sinogram), Grid2D(args.size, args.size), args.freq_scaling)
     write_image(args.out, rec)
     return EXIT_OK
@@ -164,6 +175,7 @@ def cmd_fbp(args) -> int:
 
 def cmd_tv(args) -> int:
     preview_path(args.out)  # a .pgm --out raises here, before any work
+    check_output_dir(args.out)
     grid = Grid2D(args.size, args.size)
     rec = tv_reconstruct(read_isin(args.sinogram), grid, TVConfig(mu=args.mu, n_iters=args.iters))
     write_image(args.out, rec)
@@ -171,6 +183,7 @@ def cmd_tv(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    check_output_dir(args.out)
     img = read_igrd(args.image)
     ref = read_igrd(args.reference)
     write_table(args.out, ["image", "ssim", "psnr"],
@@ -178,26 +191,28 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def report(results) -> int:
+    """Print one line per case on stdout and, for each numerical failure,
+    its detail on stderr; return the exit code of the run."""
+    code = EXIT_OK
+    for res in results:
+        reg = res.registration
+        print(f"{res.case.name}: ssim={res.ssim_final:.4f} psnr={res.psnr_final:.2f} "
+              f"stop={reg.stop_reason.value}")
+        if reg.stop_reason is StopReason.NUMERICAL_FAILURE:
+            print(f"{res.case.name}: stopped on numerical failure ({reg.stop_detail}); "
+                  "last finite iterate written", file=sys.stderr)
+            code = EXIT_NUMERICAL
+    return code
+
+
 def cmd_register(args) -> int:
     case, config_out = load_experiment_config(args.config, args.seed)
-    res = run_case(case, Path(args.out or config_out))
-    if res.registration.stop_reason is StopReason.NUMERICAL_FAILURE:
-        print(f"register: stopped on numerical failure ({res.registration.stop_detail}); "
-              "last finite iterate written", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return report([run_case(case, Path(args.out or config_out))])
 
 
 def cmd_suite(args) -> int:
-    results = run_suite(args.id, args.out or f"suite{args.id}_out", full=args.full)
-    for res in results:
-        print(f"{res.case.name}: ssim={res.ssim_final:.4f} psnr={res.psnr_final:.2f} "
-              f"stop={res.registration.stop_reason.value}")
-        if res.registration.stop_detail:
-            print(f"{res.case.name}: {res.registration.stop_detail}", file=sys.stderr)
-    if any(r.registration.stop_reason is StopReason.NUMERICAL_FAILURE for r in results):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return report(run_suite(args.id, args.out or f"suite{args.id}_out", full=args.full))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -101,6 +101,16 @@ def preview_path(path) -> Path:
     return preview
 
 
+def check_output_dir(path) -> None:
+    """Raise the OSError that writing ``path`` would raise because its
+    directory is missing or is not a directory, so that a command fails
+    before any work."""
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the trailing "/" asks for a directory
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
 def write_image(path, img: ScalarImage) -> None:
     """The IGRD at ``path`` and its 16-bit PGM preview at ``preview_path(path)``,
     which is checked before anything is written."""

@@ -92,22 +92,23 @@ MISSING_OBJECT_INDEX = 4
 # 1.0, so it changes the connected-component count at threshold 0.5.
 EXTRA_OBJECT_ELLIPSE = (0.80, 0.1000, 0.1000, -0.30, -0.30, 0.0)
 
-# Per-ellipse perturbations (dx0, dy0, da, db, dangle_deg) applied by the
-# warped variant, scaled by WARP_AMPLITUDE. Used as the registration
-# template against the unperturbed phantom; the amplitude is calibrated
-# so the sensitivity-sweep runs land in the reference score range.
+# Per-ellipse perturbations in the columns of SHEPP_LOGAN_ELLIPSES, grey
+# value 0.0: the warped variant draws each ellipse plus WARP_AMPLITUDE
+# times its row. Used as the registration template against the
+# unperturbed phantom; the amplitude is calibrated so the
+# sensitivity-sweep runs land in the reference score range.
 WARP_AMPLITUDE = 0.25
-SHEPP_LOGAN_WARP: tuple[tuple[float, float, float, float, float], ...] = (
-    (0.015, -0.020, 0.035, -0.045, 2.0),
-    (0.015, -0.020, 0.030, -0.040, 2.0),
-    (0.030, 0.040, 0.015, -0.030, 8.0),
-    (-0.030, 0.030, -0.020, 0.030, -8.0),
-    (0.025, -0.040, 0.030, -0.030, 6.0),
-    (0.020, 0.025, 0.008, 0.008, 0.0),
-    (-0.020, -0.025, 0.008, 0.008, 0.0),
-    (-0.020, 0.015, 0.008, 0.004, 0.0),
-    (0.015, 0.020, 0.004, 0.004, 0.0),
-    (0.020, -0.015, 0.004, 0.008, 0.0),
+SHEPP_LOGAN_WARP: tuple[tuple[float, float, float, float, float, float], ...] = (
+    (0.0, 0.035, -0.045, 0.015, -0.020, 2.0),
+    (0.0, 0.030, -0.040, 0.015, -0.020, 2.0),
+    (0.0, 0.015, -0.030, 0.030, 0.040, 8.0),
+    (0.0, -0.020, 0.030, -0.030, 0.030, -8.0),
+    (0.0, 0.030, -0.030, 0.025, -0.040, 6.0),
+    (0.0, 0.008, 0.008, 0.020, 0.025, 0.0),
+    (0.0, 0.008, 0.008, -0.020, -0.025, 0.0),
+    (0.0, 0.008, 0.004, -0.020, 0.015, 0.0),
+    (0.0, 0.004, 0.004, 0.015, 0.020, 0.0),
+    (0.0, 0.004, 0.008, 0.020, -0.015, 0.0),
 )
 
 
@@ -141,24 +142,6 @@ def _rasterize_ellipses(grid: Grid2D, ellipses) -> ScalarImage:
     img = np.clip(img, 0.0, 1.0)
     pooled = img.reshape(grid.ny, ss, grid.nx, ss).mean(axis=(1, 3))
     return ScalarImage(grid, pooled)
-
-
-def _warped_ellipses():
-    out = []
-    for (val, a, b, x0, y0, ang), (dx, dy, da, db, dang) in zip(
-        SHEPP_LOGAN_ELLIPSES, SHEPP_LOGAN_WARP
-    ):
-        out.append(
-            (
-                val,
-                a + WARP_AMPLITUDE * da,
-                b + WARP_AMPLITUDE * db,
-                x0 + WARP_AMPLITUDE * dx,
-                y0 + WARP_AMPLITUDE * dy,
-                ang + WARP_AMPLITUDE * dang,
-            )
-        )
-    return tuple(out)
 
 
 def _point_in_polygon(U: np.ndarray, V: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -230,7 +213,9 @@ _PHANTOMS = {
         tuple(e for i, e in enumerate(SHEPP_LOGAN_ELLIPSES) if i != MISSING_OBJECT_INDEX),
     ),
     PhantomKind.SHEPP_LOGAN_EXTRA: (_rasterize_ellipses, SHEPP_LOGAN_ELLIPSES + (EXTRA_OBJECT_ELLIPSE,)),
-    PhantomKind.SHEPP_LOGAN_WARPED: (_rasterize_ellipses, _warped_ellipses()),
+    PhantomKind.SHEPP_LOGAN_WARPED: (_rasterize_ellipses, tuple(
+        tuple(x + WARP_AMPLITUDE * d for x, d in zip(ellipse, warp))
+        for ellipse, warp in zip(SHEPP_LOGAN_ELLIPSES, SHEPP_LOGAN_WARP))),
     PhantomKind.SINGLE_STAR_TEMPLATE: (rasterize_stars, (SINGLE_STAR_TEMPLATE_PARAMS,)),
     PhantomKind.SINGLE_STAR_TARGET: (rasterize_stars, (SINGLE_STAR_TARGET_PARAMS,)),
     PhantomKind.SIX_STARS_TEMPLATE: (rasterize_stars, SIX_STARS_TEMPLATE_PARAMS),

@@ -542,3 +542,109 @@ def test_suite_reports_each_numerical_failure(tmp_path, capsys, monkeypatch):
     assert all("time index" in line for line in err)
     for case in cases:  # a failed case still writes its files
         assert (tmp_path / case.name / "metrics.csv").exists()
+
+
+# each INI section with the keys that make it whole, for the sections that
+# CONFIG leaves out
+OPTIONAL_SECTIONS = {"fbp": "freq_scaling = 0.5\n", "tv": "mu = 1.0\n"}
+
+
+def with_section_keys(section, keys):
+    """CONFIG with ``keys`` added to ``section``."""
+    if f"[{section}]\n" in CONFIG:
+        return CONFIG.replace(f"[{section}]\n", f"[{section}]\n{keys}")
+    return CONFIG + f"\n[{section}]\n{OPTIONAL_SECTIONS[section]}{keys}"
+
+
+@pytest.mark.parametrize("section,key", [
+    ("phantom", "whatever"), ("geometry", "whatever"), ("noise", "whatever"), ("registration", "whatever"),
+    ("fbp", "whatever"), ("tv", "whatever"), ("output", "whatever"),
+    ("geometry", "grid"),  # the reader passes the grid itself
+])
+def test_every_section_rejects_an_unknown_key(tmp_path, capsys, section, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(with_section_keys(section, f"{key} = 1\n"))
+    out = tmp_path / "results"
+    assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: unknown key {key!r} in section [{section}]"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key", [
+    ("phantom", "size"), ("phantom", "template_kind"), ("phantom", "target_kind"),
+    ("geometry", "n_angles"), ("geometry", "n_detectors"), ("noise", "snr_db"),
+    ("registration", "gamma"), ("registration", "sigma"), ("registration", "alpha"),
+    ("tv", "mu"), ("fbp", "freq_scaling"),
+])
+def test_every_required_key_is_named_when_missing(tmp_path, capsys, section, key):
+    text = with_section_keys(section, "")
+    path = tmp_path / "bad.ini"
+    path.write_text(re.sub(rf"^{key} = .*\n", "", text, flags=re.MULTILINE))
+    out = tmp_path / "results"
+    assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: missing key {key!r} in section [{section}]"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit,stop", [
+    (lambda text: text, "max_iters"),
+    (lambda text: text.replace("alpha = 0.02", "alpha = 1e6").replace("n_steps = 5", "n_steps = 2"),
+     "numerical_failure"),
+], ids=["calm", "violent"])
+def test_register_reports_its_case_as_suite_does(tmp_path, capsys, edit, stop):
+    path = tmp_path / "run.ini"
+    path.write_text(edit(CONFIG))
+    out = tmp_path / "results"
+    code = EXIT_OK if stop == "max_iters" else EXIT_NUMERICAL
+    assert main(["register", "--config", str(path), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(rf"run: ssim=(-?\d+\.\d{{4}}) psnr=(-?\d+\.\d{{2}}) stop={stop}", lines[0])
+    with open(out / "metrics.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert lines[0] == (f"run: ssim={float(row['ssim']):.4f} psnr={float(row['psnr_db']):.2f} "
+                        f"stop={row['stop_reason']}")
+    err = captured.err.splitlines()
+    if stop == "max_iters":
+        assert err == []
+    else:
+        assert len(err) == 1
+        assert err[0].startswith("run: stopped on numerical failure (iteration ")
+        assert err[0].endswith("); last finite iterate written")
+
+
+SINGLE_STEP_COMMANDS = {
+    "phantom": ["phantom", "--kind", "shepp-logan", "--size", "16", "--out", "{out}.igrd"],
+    "project": ["project", "--image", "{image}", "--angles", "4", "--detectors", "24", "--out", "{out}.isin"],
+    "noise": ["noise", "--sinogram", "{sino}", "--snr-db", "10", "--out", "{out}.isin"],
+    "fbp": ["fbp", "--sinogram", "{sino}", "--size", "16", "--out", "{out}.igrd"],
+    "tv": ["tv", "--sinogram", "{sino}", "--size", "16", "--mu", "1.0", "--iters", "5", "--out", "{out}.igrd"],
+    "evaluate": ["evaluate", "--image", "{image}", "--reference", "{image}", "--out", "{out}.csv"],
+}
+OUT_BELOW = {  # an --out whose directory cannot be written into, and the errno that writing it raises
+    "file": ("file/x", "[Errno 20] Not a directory"),
+    "below_file": ("file/sub/x", "[Errno 20] Not a directory"),
+    "missing_dir": ("missing/x", "[Errno 2] No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("where", list(OUT_BELOW))
+@pytest.mark.parametrize("command", list(SINGLE_STEP_COMMANDS))
+def test_single_step_commands_check_their_output_directory_first(tmp_path, capsys, monkeypatch, command, where):
+    image, sino = tmp_path / "p.igrd", tmp_path / "p.isin"
+    assert main(["phantom", "--kind", "shepp-logan", "--size", "16", "--out", str(image)]) == EXIT_OK
+    assert main(["project", "--image", str(image), "--angles", "4", "--detectors", "24",
+                 "--out", str(sino)]) == EXIT_OK
+    (tmp_path / "file").write_text("a regular file, not a directory")
+    capsys.readouterr()
+    below, error = OUT_BELOW[where]
+    argv = [arg.format(image=image, sino=sino, out=tmp_path / below) for arg in SINGLE_STEP_COMMANDS[command]]
+    calls = count_calls(monkeypatch, cli, ["make_phantom", "read_igrd", "read_isin", "ray_transform", "add_noise",
+                                           "fbp", "tv_reconstruct", "ssim", "psnr"])
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err.strip().splitlines() == [f"i/o error: {error}: '{argv[-1]}'"]
+    assert not any(calls.values())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "p.igrd", "p.isin", "p.pgm"]

@@ -253,3 +253,20 @@ def test_non_finite_objective_raises(action, bad, setup16):
     data.values[1, 5] = bad
     with pytest.raises(FlowStabilityError, match="^objective or deformed template not finite$"):
         evaluate_objective(template, zero_velocity(grid, 5), data, action, gamma=1e-7)
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_only_the_penalty_reads_the_first_velocity_slice(action, setup16):
+    """The forward sweep reads nu[1:] only, so a new nu[0] leaves the
+    discrepancy bit-identical; the penalty's trapezoid weighs nu[0] by 1/(2N)."""
+    grid, _, template, data = setup16
+    n, gamma = 5, 0.3
+    nu = constant_time_field(random_smooth_field(grid, seed=20, amplitude=0.5), n)
+    moved = nu.copy()
+    # small, because the geometric action's step-factor check reads nu[0]
+    moved[0] = random_smooth_field(grid, seed=21, amplitude=0.3)
+    before, *_ = evaluate_objective(template, nu, data, action, gamma)
+    after, *_ = evaluate_objective(template, moved, data, action, gamma)
+    assert after.discrepancy == before.discrepancy
+    expected = gamma * grid.cell_area / (2 * n) * float(np.sum(moved[0] ** 2) - np.sum(nu[0] ** 2))
+    assert after.penalty - before.penalty == pytest.approx(expected, rel=1e-12)

@@ -21,8 +21,9 @@ from tomoflow.phantom import (
     EXTRA_OBJECT_ELLIPSE,
     MISSING_OBJECT_INDEX,
     SHEPP_LOGAN_ELLIPSES,
+    SHEPP_LOGAN_WARP,
+    WARP_AMPLITUDE,
     _rasterize_ellipses,
-    _warped_ellipses,
     rasterize_stars,
     SIX_STARS_TARGET_PARAMS,
 )
@@ -114,7 +115,8 @@ ELLIPSE_TABLES = {
         e for i, e in enumerate(SHEPP_LOGAN_ELLIPSES) if i != MISSING_OBJECT_INDEX
     ),
     PhantomKind.SHEPP_LOGAN_EXTRA: SHEPP_LOGAN_ELLIPSES + (EXTRA_OBJECT_ELLIPSE,),
-    PhantomKind.SHEPP_LOGAN_WARPED: _warped_ellipses(),
+    PhantomKind.SHEPP_LOGAN_WARPED: tuple(tuple(x + WARP_AMPLITUDE * d for x, d in zip(e, w))
+                                          for e, w in zip(SHEPP_LOGAN_ELLIPSES, SHEPP_LOGAN_WARP)),
 }
 
 REFERENCE_GRIDS = {
