@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Subcommands: phantom, project, noise, register, fbp, tv, evaluate,
-suite. The register command is driven by an INI-style config file; all
-other commands take explicit flags. Each INI section is built by one
-callable in ``_SECTIONS``, whose parameters are the section's keys, and
-one reader applies that rule to every section. ``register`` and
-``suite`` end in ``report``: one line per case on stdout, and a line
-per numerical failure on stderr. The single-step commands check their
-``--out`` directory before any work. Every file is written through
-``io``: each image with its PGM preview, each table as CSV. Exit codes:
-0 success, 1 numerical failure during optimization, 2 bad arguments or
-config, 3 I/O failure.
+suite. The register command is driven by an INI-style config file,
+which holds every setting of the run; its ``--out`` (default ``out``)
+says only where the run is written. All other commands take explicit
+flags. Each INI section is built by one callable in ``_SECTIONS``,
+whose parameters are the section's keys, and one reader applies that
+rule to every section. ``register`` and ``suite`` end in ``report``:
+one line per case on stdout, and a line per numerical failure on
+stderr. The single-step commands check their ``--out`` directory before
+any work. Every file is written through ``io``: each image with its PGM
+preview, each table as CSV. Exit codes: 0 success, 1 numerical failure
+during optimization, 2 bad arguments or config, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ def _phantom(size: int, template_kind: PhantomKind, target_kind: PhantomKind):
     return grid, template_kind, target_kind
 
 
-def _output(dir: str = "out") -> str:
-    return dir
-
-
 # Each INI section and the callable that builds it. The section's keys are
 # the callable's parameters, less those that the reader passes itself;
 # each is read by its annotated type, and one without a default is required.
@@ -67,7 +64,6 @@ _SECTIONS = {
     "registration": RegistrationConfig,
     "fbp": check_freq_scaling,
     "tv": TVConfig,
-    "output": _output,
 }
 
 
@@ -99,12 +95,10 @@ def _read_section(parser: configparser.ConfigParser, section: str, **given):
         raise ConfigError(f"invalid [{section}] {exc}") from exc
 
 
-def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, str]:
+def load_experiment_config(path) -> SuiteCase:
     """Parse and validate the INI config into a case named after the file's
-    stem, and return it with its [output] dir. Unknown sections or keys
-    are errors. Without [noise] the data are noise-free (noise.snr_db =
-    inf). ``seed`` (``register --seed``) replaces the [noise] seed and is
-    checked like it; it needs noisy data."""
+    stem. Unknown sections or keys are errors. Without [noise] the data
+    are noise-free (noise.snr_db = inf)."""
     parser = configparser.ConfigParser(interpolation=None)  # a '%' is a plain character
     try:
         read = parser.read(path)
@@ -112,15 +106,14 @@ def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, st
         raise ConfigError(f"cannot parse config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
+    # configparser copies [DEFAULT]'s keys into every section; it is named as itself
+    for section in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-    if seed is not None and "noise" in parser:
-        parser["noise"]["seed"] = str(seed)  # built and checked as the [noise] seed
     grid, template_kind, target_kind = _read_section(parser, "phantom")
     # the geometry that run_case builds, so that its ranges are checked here
     geom = _read_section(parser, "geometry", grid=grid)
-    case = SuiteCase(
+    return SuiteCase(
         name=Path(path).stem,
         grid=grid,
         n_angles=geom.n_angles,
@@ -132,10 +125,6 @@ def load_experiment_config(path, seed: int | None = None) -> tuple[SuiteCase, st
         fbp_freq_scaling=_read_section(parser, "fbp") if "fbp" in parser else None,
         tv=_read_section(parser, "tv") if "tv" in parser else None,
     )
-    if seed is not None and math.isinf(case.noise.snr_db):
-        # a seed that draws nothing would still change the run's config_sha256
-        raise ConfigError("--seed needs noisy data, but the config's data are noise-free")
-    return case, _read_section(parser, "output") if "output" in parser else _output()
 
 
 # --- commands --------------------------------------------------------------
@@ -207,8 +196,7 @@ def report(results) -> int:
 
 
 def cmd_register(args) -> int:
-    case, config_out = load_experiment_config(args.config, args.seed)
-    return report([run_case(case, Path(args.out or config_out))])
+    return report([run_case(load_experiment_config(args.config), Path(args.out))])
 
 
 def cmd_suite(args) -> int:
@@ -245,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("register", help="run indirect registration from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="output directory (default: [output] dir)")
-    p.add_argument("--seed", type=int, default=None, help="noise seed override (noisy data only)")
+    p.add_argument("--out", default="out", help="output directory (default: out)")
     p.set_defaults(fn=cmd_register)
 
     p = sub.add_parser("fbp", help="filtered back projection of an ISIN sinogram")

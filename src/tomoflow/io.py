@@ -7,7 +7,7 @@ byte 1, two u32 sizes, f64 extents, then the f64 values. IGRD: magic
 "IGRD", nx, ny, x_min/x_max/y_min/y_max, then nx*ny values row-major
 (y outer). ISIN: magic "ISIN", n_angles, n_detectors, s_min/s_max, then
 angle-major values: the whole ``SinogramGeometry``. Readers reject
-truncated files and non-finite values.
+truncated files, bytes after the payload and non-finite values.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ def _write_container(path, magic: bytes, sizes: tuple, extents: tuple, values: n
 def _read_container(path, magic: bytes, n_extents: int) -> tuple:
     """The two sizes, the extents and the flat payload of ``size0 * size1``
     finite f64 values. The bytes left in the file are checked before the
-    payload is read, so a header's declared size is never trusted."""
+    payload is read, so a header's declared size is never trusted: the
+    payload must fill the rest of the file exactly."""
     kind = magic.decode("ascii")
     fmt = f"<BII{n_extents}d"
     with open(path, "rb") as fh:
@@ -51,8 +52,11 @@ def _read_container(path, magic: bytes, n_extents: int) -> tuple:
         version, size0, size1, *extents = struct.unpack(fmt, raw)
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported {kind} version {version}")
-        if 8 * size0 * size1 > os.fstat(fh.fileno()).st_size - fh.tell():
+        extra = os.fstat(fh.fileno()).st_size - fh.tell() - 8 * size0 * size1
+        if extra < 0:
             raise ValueError(f"{path}: truncated {kind} payload")
+        if extra > 0:
+            raise ValueError(f"{path}: {extra} bytes after the {kind} payload")
         data = np.frombuffer(fh.read(8 * size0 * size1), dtype="<f8")
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in {kind} payload")

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from tomoflow.experiments import SuiteCase
 from tomoflow.io import read_igrd, read_isin
 from tomoflow.phantom import NoiseSpec
 from tomoflow.tv import TVConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CONFIG = """
 [phantom]
@@ -39,9 +42,6 @@ sigma = 4.0
 alpha = 0.02
 n_steps = 5
 max_iters = 3
-
-[output]
-dir = out
 """
 
 
@@ -53,25 +53,23 @@ def config_path(tmp_path):
 
 
 def test_config_parses(config_path):
-    case, output_dir = load_experiment_config(config_path)
-    assert output_dir == "out"
+    case = load_experiment_config(config_path)
     assert case.name == "run"
     assert case.grid.nx == case.grid.ny == 32
     assert case.cfg.n_steps == 5
     assert case.noise == NoiseSpec(6.0, seed=11)
     assert case.fbp_freq_scaling is None and case.tv is None
-    assert load_experiment_config(config_path, seed=5)[0].noise == NoiseSpec(6.0, seed=5)
 
 
 def test_config_parses_baselines(tmp_path):
     path = tmp_path / "baselines.ini"
     path.write_text(CONFIG + "[fbp]\nfreq_scaling = 0.5\n\n[tv]\nmu = 2.0\n")
-    case = load_experiment_config(path)[0]
+    case = load_experiment_config(path)
     assert case.fbp_freq_scaling == 0.5
     assert case.tv == TVConfig(mu=2.0)
     assert case.tv.n_iters == TVConfig.n_iters
     path.write_text(CONFIG + "[tv]\nmu = 2.0\nn_iters = 7\n")
-    assert load_experiment_config(path)[0].tv == TVConfig(mu=2.0, n_iters=7)
+    assert load_experiment_config(path).tv == TVConfig(mu=2.0, n_iters=7)
 
 
 def test_config_rejects_old_tv_iters_key(tmp_path):
@@ -82,9 +80,10 @@ def test_config_rejects_old_tv_iters_key(tmp_path):
 
 
 @pytest.mark.parametrize("old,new", [
-    ("[output]", "[fbp]\nfreq_scaling = 1.5\n\n[output]"),
-    ("[output]", "[tv]\nmu = 0\n\n[output]"),
-    ("[output]", "[tv]\nmu = 1.0\nn_iters = 0\n\n[output]"),
+    # an optional section appended after [registration], the last one of CONFIG
+    pytest.param("max_iters = 3\n", "max_iters = 3\n\n[fbp]\nfreq_scaling = 1.5\n", id="fbp_freq_scaling_1.5"),
+    pytest.param("max_iters = 3\n", "max_iters = 3\n\n[tv]\nmu = 0\n", id="tv_mu_0"),
+    pytest.param("max_iters = 3\n", "max_iters = 3\n\n[tv]\nmu = 1.0\nn_iters = 0\n", id="tv_n_iters_0"),
     ("size = 32", "size = 1"),
     ("n_angles = 6", "n_angles = 0"),
     ("n_detectors = 48", "n_detectors = 1"),
@@ -107,18 +106,16 @@ def test_register_rejects_out_of_range_setting(tmp_path, capsys, old, new):
         assert err == ["config error: invalid [phantom] size must be at least 11 pixels (the SSIM window), got 8"]
 
 
-def test_register_rejects_negative_seed_flag(tmp_path, capsys, config_path):
-    out = tmp_path / "results"
-    assert main(["register", "--config", str(config_path), "--out", str(out), "--seed", "-1"]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["config error: invalid [noise] seed must be an integer >= 0, got -1"]
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("edit,out_name,code,line", [
     (None, "results", EXIT_USAGE, "config error: cannot read config file {config}"),
     (lambda text: text + "[extra]\nkey = 1\n", "results", EXIT_USAGE,
      "config error: unknown config section [extra]"),
+    # configparser copies [DEFAULT]'s keys into every section: named as itself, not as the first section
+    (lambda text: "[DEFAULT]\nn_steps = 5\n" + text, "results", EXIT_USAGE,
+     "config error: unknown config section [DEFAULT]"),
+    # the output directory is --out alone
+    (lambda text: text + "[output]\ndir = results\n", "results", EXIT_USAGE,
+     "config error: unknown config section [output]"),
     (lambda text: text.replace("[geometry]\nn_angles = 6\nn_detectors = 48\n", ""), "results", EXIT_USAGE,
      "config error: missing required section [geometry]"),
     (lambda text: text.replace("gamma = 1e-7\n", ""), "results", EXIT_USAGE,
@@ -129,7 +126,7 @@ def test_register_rejects_negative_seed_flag(tmp_path, capsys, config_path):
      "config error: cannot parse config file {config}: While reading from '{config}' [line 18]: "
      "option 'sigma' in section 'registration' already exists"),
     (lambda text: text + "[phantom]\nsize = 16\n", "results", EXIT_USAGE,
-     "config error: cannot parse config file {config}: While reading from '{config}' [line 24]: "
+     "config error: cannot parse config file {config}: While reading from '{config}' [line 21]: "
      "section 'phantom' already exists"),
     (lambda text: "size = 32" + text, "results", EXIT_USAGE,
      "config error: cannot parse config file {config}: File contains no section headers. "
@@ -143,9 +140,9 @@ def test_register_rejects_negative_seed_flag(tmp_path, capsys, config_path):
     (lambda text: text.replace("sigma = 4.0", "sigma = %(size)s"), "results", EXIT_USAGE,
      "config error: bad value for [registration] sigma = '%(size)s': "
      "could not convert string to float: '%(size)s'"),
-], ids=["unreadable_file", "unknown_section", "missing_section", "missing_key", "out_below_a_file",
-        "duplicate_key", "duplicate_section", "no_section_header", "line_without_equals",
-        "percent_sign", "interpolation_syntax"])
+], ids=["unreadable_file", "unknown_section", "default_section", "output_section", "missing_section",
+        "missing_key", "out_below_a_file", "duplicate_key", "duplicate_section", "no_section_header",
+        "line_without_equals", "percent_sign", "interpolation_syntax"])
 def test_register_error_paths(tmp_path, capsys, edit, out_name, code, line):
     """edit None leaves the config file unwritten."""
     config = tmp_path / "run.ini"
@@ -158,10 +155,12 @@ def test_register_error_paths(tmp_path, capsys, edit, out_name, code, line):
     assert not out.exists()
 
 
-def test_config_reads_percent_literally(tmp_path):
-    path = tmp_path / "run.ini"
-    path.write_text(CONFIG.replace("dir = out", "dir = out%1"))
-    assert load_experiment_config(path)[1] == "out%1"
+def test_readme_config_is_suite_1(tmp_path):
+    """The README's INI example loads as written, to suite 1's case."""
+    block, = re.findall(r"^```ini\n(.*?)^```", README.read_text(), flags=re.DOTALL | re.MULTILINE)
+    path = tmp_path / "suite1.ini"
+    path.write_text(block)
+    assert load_experiment_config(path) == experiments.suite_cases(1)[0]
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -226,6 +225,27 @@ def test_register_rerun_is_bit_identical(tmp_path, config_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_register_writes_the_same_run_wherever_out_points(tmp_path, config_path):
+    case = experiments.case_record(load_experiment_config(config_path))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["register", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in runs]
+    assert [m["case"] for m in manifests] == [case, case]
+    assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+def test_register_writes_into_out_by_default(tmp_path, monkeypatch, config_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["register", "--config", str(config_path)]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.ini"]
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_register_without_noise_section(tmp_path):
     path = tmp_path / "clean.ini"
     path.write_text(CONFIG.replace("[noise]\nsnr_db = 6.0\nseed = 11\n", ""))
@@ -240,11 +260,12 @@ def test_register_without_noise_section(tmp_path):
 
 
 def test_register_and_suite_take_their_own_flags():
-    args = build_parser().parse_args(["register", "--config", "run.ini", "--out", "d", "--seed", "5"])
-    assert (args.out, args.seed) == ("d", 5)
-    with pytest.raises(SystemExit) as exc:
-        main(["register", "--config", "run.ini", "--log-csv", "log.csv"])
-    assert exc.value.code == EXIT_USAGE
+    args = build_parser().parse_args(["register", "--config", "run.ini", "--out", "d"])
+    assert (args.config, args.out) == ("run.ini", "d")
+    for flag in (["--log-csv", "log.csv"], ["--seed", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["register", "--config", "run.ini"] + flag)
+        assert exc.value.code == EXIT_USAGE
     args = build_parser().parse_args(["suite", "--id", "1", "--out", "d"])
     assert (args.id, args.out) == (1, "d")
     with pytest.raises(SystemExit) as exc:
@@ -306,7 +327,7 @@ def test_register_rejects_nan_registration_value(tmp_path, capsys, key, bound):
     ("gamma = 1e-7", "gamma = inf", "[registration] gamma must be >= 0 and finite, got inf"),
     ("sigma = 4.0", "sigma = inf", "[registration] sigma must be > 0 and finite, got inf"),
     ("alpha = 0.02", "alpha = inf", "[registration] alpha must be > 0 and finite, got inf"),
-    ("[output]", "[tv]\nmu = inf\n\n[output]", "[tv] mu must be > 0 and finite, got inf"),
+    ("max_iters = 3\n", "max_iters = 3\n\n[tv]\nmu = inf\n", "[tv] mu must be > 0 and finite, got inf"),
     ("seed = 11", "seed = -1", "[noise] seed must be an integer >= 0, got -1"),
     ("snr_db = 6.0", "snr_db = 4000", "[noise] snr_db must be an SNR in [-3000, 3000] dB or inf, got 4000.0"),
 ], ids=["gamma", "sigma", "alpha", "tv_mu", "noise_seed", "noise_snr"])
@@ -316,19 +337,6 @@ def test_register_rejects_infinite_or_negative_setting(tmp_path, capsys, old, ne
     out = tmp_path / "results"
     assert main(["register", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err.strip().splitlines() == [f"config error: invalid {message}"]
-    assert not out.exists()
-
-
-def test_register_seed_needs_noisy_data(tmp_path, capsys, config_path):
-    out = tmp_path / "noisy"
-    assert main(["register", "--config", str(config_path), "--out", str(out), "--seed", "5"]) == EXIT_OK
-    assert json.loads((out / "manifest.json").read_text())["case"]["noise"]["seed"] == 5
-    clean = tmp_path / "clean.ini"
-    clean.write_text(CONFIG.replace("[noise]\nsnr_db = 6.0\nseed = 11\n", ""))
-    out = tmp_path / "clean"
-    assert main(["register", "--config", str(clean), "--out", str(out), "--seed", "5"]) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["config error: --seed needs noisy data, but the config's data are noise-free"]
     assert not out.exists()
 
 
@@ -366,6 +374,18 @@ def test_evaluate_oversized_header_is_usage_error(tmp_path, capsys):
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.strip().splitlines() == [f"error: {bad}: truncated IGRD payload"]
+
+
+def test_evaluate_file_with_trailing_bytes_is_usage_error(tmp_path, capsys):
+    good = tmp_path / "good.igrd"
+    bad = tmp_path / "bad.igrd"
+    assert main(["phantom", "--kind", "shepp-logan", "--size", "16", "--out", str(good)]) == EXIT_OK
+    bad.write_bytes(good.read_bytes() + bytes(2400))
+    scores = tmp_path / "s.csv"
+    rc = main(["evaluate", "--image", str(bad), "--reference", str(good), "--out", str(scores)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}: 2400 bytes after the IGRD payload"]
+    assert not scores.exists()
 
 
 def test_phantom_project_noise_fbp_tv_evaluate_pipeline(tmp_path):
@@ -558,7 +578,7 @@ def with_section_keys(section, keys):
 
 @pytest.mark.parametrize("section,key", [
     ("phantom", "whatever"), ("geometry", "whatever"), ("noise", "whatever"), ("registration", "whatever"),
-    ("fbp", "whatever"), ("tv", "whatever"), ("output", "whatever"),
+    ("fbp", "whatever"), ("tv", "whatever"),
     ("geometry", "grid"),  # the reader passes the grid itself
 ])
 def test_every_section_rejects_an_unknown_key(tmp_path, capsys, section, key):

@@ -88,6 +88,22 @@ def test_isin_oversized_header(tmp_path, sizes):
         read_isin(path)
 
 
+def test_igrd_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "img.igrd"
+    write_igrd(path, ScalarImage.zeros(Grid2D(4, 3)))
+    path.write_bytes(path.read_bytes() + bytes(2400))
+    with pytest.raises(ValueError, match=f"^{path}: 2400 bytes after the IGRD payload$"):
+        read_igrd(path)
+
+
+def test_isin_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "data.isin"
+    write_isin(path, Sinogram.zeros(make_parallel_geometry(Grid2D(32, 32), 6, 48)))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match=f"^{path}: 8 bytes after the ISIN payload$"):
+        read_isin(path)
+
+
 def test_isin_roundtrip(tmp_path):
     g = Grid2D(32, 32)
     geom = make_parallel_geometry(g, 6, 48)
