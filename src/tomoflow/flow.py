@@ -164,8 +164,12 @@ def _step_factor(grid: Grid2D, v: np.ndarray, n_steps: int, sign: float) -> np.n
 
 
 def _check_step_factor(grid: Grid2D, v: np.ndarray, n_steps: int, sign: float, i: int) -> None:
-    factor = _step_factor(grid, v, n_steps, sign)
-    lo = float(factor.min())
+    """Raise FlowStabilityError unless every 1 + sign div(v)/N is finite
+    and > 0. x -> 1 + x / (sign N) is monotone in floating point, so the
+    least factor is that of div's min (sign > 0) or max (sign < 0), bit
+    for bit, and NaN propagates through either."""
+    div = divergence(grid, v)
+    lo = 1.0 + float(div.min() if sign > 0 else div.max()) / (sign * n_steps)
     if not np.isfinite(lo) or lo <= 0.0:
         raise FlowStabilityError(
             f"determinant step factor reached {lo:.3e} at time index {i}; "

@@ -15,6 +15,11 @@ Conventions shared by the whole package:
   written out directly with numpy's own ``np.gradient(edge_order=1)``
   formula ((f[2:] - f[:-2]) / (2h) inside, (f[1] - f[0]) / h and
   (f[-1] - f[-2]) / h on the edges), so they are bit-identical to it.
+  The x-difference runs over the flat, contiguous arrays: its interior
+  formula is applied to every entry but the first and last, and the
+  edge formula then overwrites columns 0 and -1, where the neighbours
+  wrapped across a row; the values are those of ``np.gradient``, bit
+  for bit.
 
 This module alone holds the bilinear rule: the pixel-centre convention,
 the clamp of a fractional pixel index to [-2, n], the corner order and
@@ -243,7 +248,7 @@ def sample_bilinear(grid: Grid2D, f: np.ndarray, feet: Characteristic) -> np.nda
 
 
 def _central_difference(f: np.ndarray, h: float, out: np.ndarray) -> None:
-    """numpy.gradient's edge_order=1 formula along axis 0, into ``out``."""
+    """numpy.gradient's edge_order=1 formula along axis 0 (y), into ``out``."""
     np.subtract(f[2:], f[:-2], out=out[1:-1])
     out[1:-1] /= 2.0 * h
     np.subtract(f[1], f[0], out=out[0])
@@ -252,11 +257,25 @@ def _central_difference(f: np.ndarray, h: float, out: np.ndarray) -> None:
     out[-1] /= h
 
 
+def _x_difference(f: np.ndarray, h: float, out: np.ndarray) -> None:
+    """numpy.gradient's edge_order=1 formula along axis 1 (x), into the
+    C-contiguous ``out``; a non-contiguous ``f`` is copied by ``ravel``."""
+    interior = out.ravel()[1:-1]
+    flat = f.ravel()
+    np.subtract(flat[2:], flat[:-2], out=interior)
+    interior /= 2.0 * h
+    # the entries whose neighbours wrapped across a row
+    np.subtract(f[:, 1], f[:, 0], out=out[:, 0])
+    out[:, 0] /= h
+    np.subtract(f[:, -1], f[:, -2], out=out[:, -1])
+    out[:, -1] /= h
+
+
 def gradient(grid: Grid2D, f: np.ndarray) -> np.ndarray:
     """Finite-difference spatial gradient (central interior, one-sided edges),
     as a (2, ny, nx) array with component 0 along x."""
     out = np.empty((2,) + f.shape)
-    _central_difference(f.T, grid.hx, out[0].T)
+    _x_difference(f, grid.hx, out[0])
     _central_difference(f, grid.hy, out[1])
     return out
 
@@ -266,7 +285,7 @@ def divergence(grid: Grid2D, v: np.ndarray) -> np.ndarray:
     scheme of ``gradient``."""
     out = np.empty(v.shape[1:])
     ddy = np.empty(v.shape[1:])
-    _central_difference(v[0].T, grid.hx, out.T)
+    _x_difference(v[0], grid.hx, out)
     _central_difference(v[1], grid.hy, ddy)
     out += ddy
     return out

@@ -6,12 +6,23 @@ by the midpoint rule over the pixel centres, with the untruncated
 Gaussian k(d) = exp(-|d|^2 / (2 sigma^2)). That kernel is separable, so
 the double sum is ``Gy @ u @ Gx`` per component, with one Gram matrix
 per axis, G[i, j] = exp(-((i - j) h)^2 / (2 sigma^2)) * h. Each factor
-is exactly symmetric and is the Gram matrix of a positive-definite
-function at distinct points, so it is positive semidefinite, and so is
-the smoothing operator, their Kronecker product. Pixels outside the
-grid contribute nothing (zero extension). Factor entries below tiny/eps
-(about 1e-292) are flushed to 0, so the Gaussian's far tail adds no
-subnormal products.
+is the Gram matrix of a positive-definite function at distinct points,
+so it is positive semidefinite. Pixels outside the grid contribute
+nothing (zero extension). Factor entries below tiny/eps (about 1e-292)
+are flushed to 0, so the Gaussian's far tail adds no subnormal products.
+
+``make_kernel`` diagonalizes each factor once, G = U diag(lam) U^T, and
+keeps the eigenpairs whose eigenvalue is above ``RANK_CUT`` times the
+largest: 49 of each factor at sigma 2 on the default 32 x 32 domain,
+whatever the pixel count. ``smooth`` then computes, per component,
+``Uy (lam_y lam_x^T * (Uy^T u Ux)) Ux^T``: four thin products in place
+of two dense n x n ones. The dropped eigenpairs and the rounding of the
+basis make an absolute error against the dense sum: about 1e-15 of the
+peak for an impulse, and 4e-15 to 8e-15 of the largest entry for random
+fields on the suite kernels. So far-tail entries are not correct to
+relative precision. Every kept eigenvalue is positive, so the smoothing
+operator is exactly positive semidefinite in the kept basis; it is
+symmetric only to rounding.
 """
 
 from __future__ import annotations
@@ -22,15 +33,21 @@ import numpy as np
 
 from .grid import Grid2D, GridMismatchError, check_real
 
+# Eigenpairs of a Gram factor whose eigenvalue is at or below this
+# fraction of the largest one are dropped.
+RANK_CUT = 1e-15
+
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Gaussian kernel of width sigma as its two per-axis Gram factors."""
+    """Gaussian kernel of width sigma in the kept eigenbasis of its two
+    per-axis Gram factors."""
 
     sigma: float
     grid: Grid2D
-    gram_x: np.ndarray   # (nx, nx)
-    gram_y: np.ndarray   # (ny, ny)
+    basis_x: np.ndarray   # (nx, rx), orthonormal columns
+    basis_y: np.ndarray   # (ny, ry)
+    eig_xy: np.ndarray    # (ry, rx), lam_y[j] * lam_x[i]
 
 
 def _gram(n: int, h: float, sigma: float) -> np.ndarray:
@@ -41,13 +58,24 @@ def _gram(n: int, h: float, sigma: float) -> np.ndarray:
     return profile[np.abs(k[:, None] - k[None, :])]
 
 
+def _eigenpairs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept eigenvalues of a Gram factor and their eigenvectors as columns."""
+    lam, vec = np.linalg.eigh(gram)   # ascending
+    keep = lam > RANK_CUT * lam[-1]
+    return lam[keep], vec[:, keep]
+
+
 def make_kernel(grid: Grid2D, sigma: float) -> KernelSpec:
     check_real("kernel width sigma", sigma)
-    return KernelSpec(float(sigma), grid, _gram(grid.nx, grid.hx, sigma), _gram(grid.ny, grid.hy, sigma))
+    lam_x, basis_x = _eigenpairs(_gram(grid.nx, grid.hx, sigma))
+    lam_y, basis_y = _eigenpairs(_gram(grid.ny, grid.hy, sigma))
+    return KernelSpec(float(sigma), grid, basis_x, basis_y, np.outer(lam_y, lam_x))
 
 
 def smooth(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Componentwise kernel integral of a (2, ny, nx) field, into a fresh array."""
     if u.shape != (2,) + spec.grid.shape:
         raise GridMismatchError(f"field shape {u.shape} does not match kernel grid {spec.grid.shape}")
-    return np.matmul(np.matmul(spec.gram_y, u), spec.gram_x)
+    coef = np.matmul(np.matmul(spec.basis_y.T, u), spec.basis_x)
+    coef *= spec.eig_xy
+    return np.matmul(np.matmul(spec.basis_y, coef), spec.basis_x.T)

@@ -7,11 +7,13 @@ from conftest import gaussian_blob, random_smooth_field
 from tomoflow import Grid2D, GridMismatchError, GroupAction, ScalarImage
 from tomoflow.flow import (
     FlowStabilityError,
+    _check_step_factor,
+    _step_factor,
     attach_backprop_field,
     build_flow_chain,
     jacobian_step,
 )
-from tomoflow.grid import characteristics, sample_bilinear
+from tomoflow.grid import characteristics, divergence, sample_bilinear
 
 
 def step_feet(grid, v_i, n_steps, sign):
@@ -267,6 +269,45 @@ def test_flow_stability_error_on_violent_field(grid16, action):
     index = 2 if geometric else 1
     with pytest.raises(FlowStabilityError, match=f"at time index {index};"):
         build_flow_chain(ScalarImage.full(grid16, 1.0), nu, action)
+
+
+def _step_factor_fields(grid, n_steps):
+    """Random fields whose least step factor, for either sign, lies well
+    inside, well outside and within 1e-6 of the stable range, and
+    fields holding NaN, +inf and -inf."""
+    rng = np.random.default_rng(31)
+    fields = []
+    for _ in range(3):
+        v = rng.standard_normal((2,) + grid.shape)
+        div = np.abs(divergence(grid, v)).max()
+        for scale in (0.1, 10.0, *np.linspace(1.0 - 1e-6, 1.0 + 1e-6, 9)):
+            fields.append(v * (scale * n_steps / div))
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in (0, 1):
+            v = rng.standard_normal((2,) + grid.shape)
+            v[k, 3, 5] = bad
+            fields.append(v)
+    return fields
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stability_pre_check_reads_the_least_step_factor(sign):
+    grid, n = Grid2D(12, 9, -3.0, 3.0, -2.0, 5.0), 4
+    fields = _step_factor_fields(grid, n)
+    raised = 0
+    for v in fields:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            lo = float(_step_factor(grid, v, n, sign).min())
+            if np.isfinite(lo) and lo > 0.0:
+                _check_step_factor(grid, v, n, sign, 7)
+                continue
+            raised += 1
+            text = (f"determinant step factor reached {lo:.3e} at time index 7; "
+                    "the velocity is too large for this n_steps")
+            with pytest.raises(FlowStabilityError) as err:
+                _check_step_factor(grid, v, n, sign, 7)
+        assert str(err.value) == text
+    assert 6 < raised < len(fields) - 3
 
 
 @pytest.mark.parametrize("action", list(GroupAction))

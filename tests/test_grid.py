@@ -291,21 +291,32 @@ DIFFERENCE_GRIDS = [
     Grid2D(40, 27, -10.0, 10.0, -5.0, 8.0),  # hx = 0.5, hy = 13/27
 ]
 DIFFERENCE_IDS = ["2x3", "3x2", "square", "non_square"]
+DIFFERENCE_VALUES = ["finite", "non_finite", "finite-transposed", "non_finite-transposed"]
 
 
 def _difference_input(grid, values):
     f = np.random.default_rng(24).standard_normal(grid.shape)
-    if values == "non_finite":
+    if values.startswith("non_finite"):
         f.flat[:: 7] = np.nan
         f.flat[3:: 11] = np.inf
         f.flat[5:: 13] = -np.inf
     return f
 
 
-@pytest.mark.parametrize("values", ["finite", "non_finite"])
+def _laid_out(a, values):
+    """``a``, or for a "-transposed" input an equal array whose last two
+    axes are swapped in memory, so it is not C-contiguous."""
+    if not values.endswith("transposed"):
+        return a
+    t = np.swapaxes(np.ascontiguousarray(np.swapaxes(a, -1, -2)), -1, -2)
+    assert not t.flags.c_contiguous
+    return t
+
+
+@pytest.mark.parametrize("values", DIFFERENCE_VALUES)
 @pytest.mark.parametrize("grid", DIFFERENCE_GRIDS, ids=DIFFERENCE_IDS)
 def test_gradient_matches_numpy_gradient(grid, values):
-    f = _difference_input(grid, values)
+    f = _laid_out(_difference_input(grid, values), values)
     with np.errstate(invalid="ignore"):  # inf - inf
         ddy, ddx = np.gradient(f, grid.hy, grid.hx, edge_order=1)
         out = gradient(grid, f)
@@ -313,10 +324,11 @@ def test_gradient_matches_numpy_gradient(grid, values):
     assert np.array_equal(out, np.stack((ddx, ddy)), equal_nan=True)
 
 
-@pytest.mark.parametrize("values", ["finite", "non_finite"])
+@pytest.mark.parametrize("values", DIFFERENCE_VALUES)
 @pytest.mark.parametrize("grid", DIFFERENCE_GRIDS, ids=DIFFERENCE_IDS)
 def test_divergence_matches_numpy_gradient(grid, values):
     v = np.stack((_difference_input(grid, values), -2.0 * _difference_input(grid, values)[::-1]))
+    v = _laid_out(v, values)
     with np.errstate(invalid="ignore"):  # inf - inf
         ref = (np.gradient(v[0], grid.hx, axis=1, edge_order=1)
                + np.gradient(v[1], grid.hy, axis=0, edge_order=1))
