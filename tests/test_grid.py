@@ -6,7 +6,7 @@ import pytest
 
 from conftest import integrate
 from tomoflow import Grid2D, GridMismatchError, ScalarImage
-from tomoflow.grid import characteristics, divergence, gradient, sample_bilinear
+from tomoflow.grid import _x_difference, characteristics, divergence, gradient, sample_bilinear
 
 
 def pull(grid, img, disp):
@@ -334,6 +334,31 @@ def test_divergence_matches_numpy_gradient(grid, values):
                + np.gradient(v[1], grid.hy, axis=0, edge_order=1))
         out = divergence(grid, v)
     assert np.array_equal(out, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("before,after", [(1e308, -1e308), (np.inf, np.inf)], ids=["near_max", "inf"])
+def test_differences_warn_only_where_numpy_gradient_does(before, after):
+    # f[2, -2] and f[3, 0] meet only across the row boundary, where their
+    # difference would overflow or be inf - inf; np.gradient never forms it,
+    # so with warnings as errors neither may gradient or divergence
+    grid = Grid2D(8, 6, 0.0, 8.0, 0.0, 6.0)
+    rng = np.random.default_rng(26)
+    f = rng.standard_normal(grid.shape)
+    f[2, -2], f[3, 0] = before, after
+    ddy, ddx = np.gradient(f, grid.hy, grid.hx, edge_order=1)
+    assert np.array_equal(gradient(grid, f), np.stack((ddx, ddy)))
+    v = np.stack((f, rng.standard_normal(grid.shape)))
+    ref = np.gradient(v[0], grid.hx, axis=1, edge_order=1) + np.gradient(v[1], grid.hy, axis=0, edge_order=1)
+    assert np.array_equal(divergence(grid, v), ref)
+
+
+@pytest.mark.parametrize("grid", DIFFERENCE_GRIDS, ids=DIFFERENCE_IDS)
+def test_x_difference_fills_a_non_contiguous_output(grid):
+    f = _difference_input(grid, "finite")
+    out = np.empty(grid.shape[::-1]).T
+    assert not out.flags.c_contiguous
+    _x_difference(f, grid.hx, out)
+    assert np.array_equal(out, np.gradient(f, grid.hx, axis=1, edge_order=1))
 
 
 def test_integrate_constant():
