@@ -11,7 +11,8 @@ so it is positive semidefinite. Pixels outside the grid contribute
 nothing (zero extension). Factor entries below tiny/eps (about 1e-292)
 are flushed to 0, so the Gaussian's far tail adds no subnormal products.
 
-``make_kernel`` diagonalizes each factor once, G = U diag(lam) U^T, and
+``make_kernel`` diagonalizes each distinct factor once, G = U diag(lam) U^T
+(a grid with ny = nx and hy = hx has one factor for both axes), and
 keeps the eigenpairs whose eigenvalue is above ``RANK_CUT`` times the
 largest: 49 of each factor at sigma 2 on the default 32 x 32 domain,
 whatever the pixel count. ``smooth`` then computes, per component,
@@ -68,7 +69,10 @@ def _eigenpairs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def make_kernel(grid: Grid2D, sigma: float) -> KernelSpec:
     check_real("kernel width sigma", sigma)
     lam_x, basis_x = _eigenpairs(_gram(grid.nx, grid.hx, sigma))
-    lam_y, basis_y = _eigenpairs(_gram(grid.ny, grid.hy, sigma))
+    if (grid.ny, grid.hy) == (grid.nx, grid.hx):   # the same factor
+        lam_y, basis_y = lam_x, basis_x
+    else:
+        lam_y, basis_y = _eigenpairs(_gram(grid.ny, grid.hy, sigma))
     return KernelSpec(float(sigma), grid, basis_x, basis_y, np.outer(lam_y, lam_x))
 
 

@@ -14,6 +14,12 @@ into one CSR matrix, so the build peaks near twice the finished matrix.
 Inner products carry quadrature weights: hx*hy on images and
 hs*(pi/n_angles) on sinograms, approximating the continuum pairing over
 lines with directions in [0, 180) degrees.
+
+FBP filters the projections with one ``numpy.fft`` rfft/irfft pair
+along the sinogram's rows, zero-padded to ``_fast_length(2 *
+n_detectors)``. numpy's transforms
+are used rather than ``scipy.fft``, whose import also loads
+``scipy.special``: about 7 MB of resident memory in every process.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.sparse
 
 from .grid import Grid2D, ScalarImage, bilinear_stencil, check_count, check_real
@@ -157,6 +162,21 @@ def check_freq_scaling(freq_scaling: float) -> float:
     return freq_scaling
 
 
+def _fast_length(n: int) -> int:
+    """The smallest integer >= n (n >= 1) whose prime factors are all at
+    most 11, the length ``scipy.fft.next_fast_len`` picks for complex
+    transforms."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def fbp(sino: Sinogram, grid: Grid2D, freq_scaling: float) -> ScalarImage:
     """Filtered back projection: each projection is filtered with a ramp
     times a Hamming window cut off at freq_scaling times the detector
@@ -165,8 +185,8 @@ def fbp(sino: Sinogram, grid: Grid2D, freq_scaling: float) -> ScalarImage:
     projection over [0, 180) degrees."""
     geom = sino.geometry
     f_cut = check_freq_scaling(freq_scaling) * 0.5 / geom.hs
-    n_pad = scipy.fft.next_fast_len(2 * geom.n_detectors)
-    freqs = scipy.fft.rfftfreq(n_pad, d=geom.hs)
+    n_pad = _fast_length(2 * geom.n_detectors)
+    freqs = np.fft.rfftfreq(n_pad, d=geom.hs)
     window = np.where(
         freqs <= f_cut,
         0.54 + 0.46 * np.cos(np.pi * freqs / f_cut),
@@ -174,6 +194,6 @@ def fbp(sino: Sinogram, grid: Grid2D, freq_scaling: float) -> ScalarImage:
     )
     response = np.abs(freqs) * window
 
-    spectra = scipy.fft.rfft(sino.values, n=n_pad, axis=1)
-    filtered = scipy.fft.irfft(spectra * response[None, :], n=n_pad, axis=1)[:, :geom.n_detectors]
+    spectra = np.fft.rfft(sino.values, n=n_pad, axis=1)
+    filtered = np.fft.irfft(spectra * response[None, :], n=n_pad, axis=1)[:, :geom.n_detectors]
     return back_projection(Sinogram(geom, filtered), grid)

@@ -5,6 +5,7 @@ import pytest
 import scipy.signal
 
 from tomoflow import Grid2D, GridMismatchError
+import tomoflow.kernel as kernel
 from tomoflow.kernel import _eigenpairs, _gram, make_kernel, smooth
 
 
@@ -201,6 +202,28 @@ def test_suite_kernels_keep_their_measured_rank(size, sigma, rank):
     assert spec.basis_x.shape == spec.basis_y.shape == (size, rank)
     assert spec.eig_xy.shape == (rank, rank)
 
+
+@pytest.mark.parametrize(
+    "grid,sigma,decompositions",
+    [
+        (Grid2D(64, 64), 6.0, 1),
+        (Grid2D(256, 256), 2.0, 1),
+        (Grid2D(32, 32, -8.0, 8.0, 0.0, 16.0), 2.0, 1),  # shifted, same factor
+        (Grid2D(32, 32, -8.0, 8.0, -4.0, 4.0), 2.0, 2),  # hx = 0.5, hy = 0.25
+        (Grid2D(40, 27, -10.0, 10.0, -5.0, 8.0), 1.5, 2),
+    ],
+    ids=["64_sigma6", "256_sigma2", "shifted", "hx_ne_hy", "non_square"],
+)
+def test_make_kernel_decomposes_each_distinct_factor_once(monkeypatch, grid, sigma, decompositions):
+    lam_x, basis_x = _eigenpairs(_gram(grid.nx, grid.hx, sigma))
+    lam_y, basis_y = _eigenpairs(_gram(grid.ny, grid.hy, sigma))
+    calls = []
+    monkeypatch.setattr(kernel, "_eigenpairs", lambda gram: calls.append(gram) or _eigenpairs(gram))
+    spec = make_kernel(grid, sigma)
+    assert len(calls) == decompositions
+    np.testing.assert_array_equal(spec.basis_x, basis_x)
+    np.testing.assert_array_equal(spec.basis_y, basis_y)
+    np.testing.assert_array_equal(spec.eig_xy, np.outer(lam_y, lam_x))
 
 def full_linear_reference(grid, sigma, comp):
     """Zero-extended 2-D linear convolution with the untruncated kernel

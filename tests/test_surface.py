@@ -148,7 +148,8 @@ def test_module_uses_every_import(module):
 def test_import_loads_no_unused_scipy_subpackage():
     """``import tomoflow`` in a fresh process loads only the scipy
     subpackages it uses; scipy.signal alone would pull in the rest."""
-    unused = ["scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.linalg", "scipy.ndimage"]
+    unused = ["scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.linalg", "scipy.ndimage",
+              "scipy.fft", "scipy.special"]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import tomoflow; "
         f"print(sorted(m for m in {unused!r} if m in sys.modules))"

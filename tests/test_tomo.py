@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse
 
 from conftest import gaussian_blob
@@ -183,6 +184,35 @@ def test_fbp_disk_interior_mean():
     interior = rec.values[X**2 + Y**2 <= (0.7 * r) ** 2]
     assert abs(interior.mean() - 1.0) <= 0.05
 
+
+def scipy_fbp_reference(sino, grid, freq_scaling):
+    """The FBP filter written on ``scipy.fft``, then ``back_projection``."""
+    geom = sino.geometry
+    f_cut = freq_scaling * 0.5 / geom.hs
+    n_pad = scipy.fft.next_fast_len(2 * geom.n_detectors)
+    freqs = scipy.fft.rfftfreq(n_pad, d=geom.hs)
+    window = np.where(freqs <= f_cut, 0.54 + 0.46 * np.cos(np.pi * freqs / f_cut), 0.0)
+    response = np.abs(freqs) * window
+    spectra = scipy.fft.rfft(sino.values, n=n_pad, axis=1)
+    filtered = scipy.fft.irfft(spectra * response[None, :], n=n_pad, axis=1)[:, :geom.n_detectors]
+    return back_projection(Sinogram(geom, filtered), grid)
+
+
+@pytest.mark.parametrize("size,n_angles,n_detectors", [(64, 10, 92), (219, 6, 310), (128, 10, 362),
+                                                       (256, 10, 362)])
+def test_fbp_equals_the_scipy_fft_formula(size, n_angles, n_detectors):
+    grid = Grid2D(size, size)
+    geom = make_parallel_geometry(grid, n_angles, n_detectors)
+    sino = Sinogram(geom, np.random.default_rng(size).standard_normal(geom.shape))
+    for freq_scaling in (0.4, 0.8, 1.0):
+        np.testing.assert_array_equal(fbp(sino, grid, freq_scaling).values,
+                                      scipy_fbp_reference(sino, grid, freq_scaling).values)
+
+
+def test_fast_length_is_scipy_next_fast_len():
+    assert [tomo._fast_length(n) for n in range(1, 20000)] == [
+        scipy.fft.next_fast_len(n) for n in range(1, 20000)
+    ]
 
 def line_samples(grid):
     """The step and the offsets along every ray: half the smaller pixel

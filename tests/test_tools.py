@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 from pathlib import Path
 
@@ -69,6 +70,17 @@ def test_case_record_keeps_the_first_of_equal_lowest_E(record_suites, tmp_path):
     rec = record_suites.case_record(tmp_path / "case_a")
     assert (rec["lowest_E"], rec["lowest_E_iteration"], rec["E_rises"]) == (2.0, 1, 1)
 
+
+def test_case_record_counts_no_rise_within_rounding(record_suites, tmp_path):
+    # E settled at 193.918714991416 and moving by an ulp or two, as in
+    # suite 3's sigma 1, gamma 10 cell; then one rise of 1e-9 relative
+    e = 193.918714991416
+    up = math.nextafter(e, math.inf)
+    totals = [200.0, e, up, e, up, math.nextafter(up, math.inf), e]
+    write_case(tmp_path / "settled", totals)
+    assert record_suites.case_record(tmp_path / "settled")["E_rises"] == 0
+    write_case(tmp_path / "rising", totals + [e * (1 + 1e-9)])
+    assert record_suites.case_record(tmp_path / "rising")["E_rises"] == 1
 
 def newest_suites_record() -> Path:
     """The committed ``SUITES_<PR>.json`` with the highest PR number."""

@@ -10,7 +10,10 @@ suite, its wall time and exit code and per case:
 * ``config_sha256`` from the manifest;
 * SSIM, PSNR, iterations and the stop reason from ``metrics.csv``;
 * the last E, the lowest E and its iteration, and the number of
-  iterations at which E rose, from ``objective.csv``.
+  iterations at which E rose, from ``objective.csv``. A step from a to b
+  counts as a rise only when b - a > 1e-12 * |a| (``RISE_TOLERANCE``,
+  the tolerance a suite compare applies to E), so rounding noise in an
+  E that has stopped moving counts no rises.
 
 Suites that are not requested are recorded as not run. The thread
 variables default to 1, as in the benchmark; ``main`` sets them before
@@ -40,6 +43,8 @@ import time
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# A rise of E smaller than this fraction of E is not counted.
+RISE_TOLERANCE = 1e-12
 
 
 def source_sha256(package_dir: Path) -> str:
@@ -95,7 +100,7 @@ def case_record(case_dir: Path) -> dict:
         "last_E": totals[-1],
         "lowest_E": totals[lowest],
         "lowest_E_iteration": lowest,
-        "E_rises": sum(b > a for a, b in zip(totals, totals[1:])),
+        "E_rises": sum(b - a > RISE_TOLERANCE * abs(a) for a, b in zip(totals, totals[1:])),
     }
 
 
