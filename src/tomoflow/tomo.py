@@ -17,9 +17,9 @@ lines with directions in [0, 180) degrees.
 
 FBP filters the projections with one ``numpy.fft`` rfft/irfft pair
 along the sinogram's rows, zero-padded to ``_fast_length(2 *
-n_detectors)``. numpy's transforms
-are used rather than ``scipy.fft``, whose import also loads
-``scipy.special``: about 7 MB of resident memory in every process.
+n_detectors)``. numpy's transforms are used rather than ``scipy.fft``,
+whose import also loads ``scipy.special``: about 7 MB of resident memory
+in every process.
 """
 
 from __future__ import annotations

@@ -225,6 +225,7 @@ def test_make_kernel_decomposes_each_distinct_factor_once(monkeypatch, grid, sig
     np.testing.assert_array_equal(spec.basis_y, basis_y)
     np.testing.assert_array_equal(spec.eig_xy, np.outer(lam_y, lam_x))
 
+
 def full_linear_reference(grid, sigma, comp):
     """Zero-extended 2-D linear convolution with the untruncated kernel
     sampled on every offset that joins two pixels, (2ny - 1, 2nx - 1)."""

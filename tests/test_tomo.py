@@ -214,6 +214,7 @@ def test_fast_length_is_scipy_next_fast_len():
         scipy.fft.next_fast_len(n) for n in range(1, 20000)
     ]
 
+
 def line_samples(grid):
     """The step and the offsets along every ray: half the smaller pixel
     spacing, over the grid's half diagonal plus one pixel on each side."""

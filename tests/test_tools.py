@@ -82,6 +82,7 @@ def test_case_record_counts_no_rise_within_rounding(record_suites, tmp_path):
     write_case(tmp_path / "rising", totals + [e * (1 + 1e-9)])
     assert record_suites.case_record(tmp_path / "rising")["E_rises"] == 1
 
+
 def newest_suites_record() -> Path:
     """The committed ``SUITES_<PR>.json`` with the highest PR number."""
     return max(REPO.glob("SUITES_*.json"), key=lambda path: int(path.stem.split("_")[1]))

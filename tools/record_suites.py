@@ -12,8 +12,8 @@ suite, its wall time and exit code and per case:
 * the last E, the lowest E and its iteration, and the number of
   iterations at which E rose, from ``objective.csv``. A step from a to b
   counts as a rise only when b - a > 1e-12 * |a| (``RISE_TOLERANCE``,
-  the tolerance a suite compare applies to E), so rounding noise in an
-  E that has stopped moving counts no rises.
+  the relative tolerance the tier-1 suite-1 check applies to E), so
+  rounding noise in an E that has stopped moving counts no rises.
 
 Suites that are not requested are recorded as not run. The thread
 variables default to 1, as in the benchmark; ``main`` sets them before
@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-# A rise of E smaller than this fraction of E is not counted.
+# A rise of E by at most this fraction of E is not counted.
 RISE_TOLERANCE = 1e-12
 
 
