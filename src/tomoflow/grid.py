@@ -26,8 +26,10 @@ to the feet x + disp(x) of the pixel centres, in index coordinates
 (``i + disp / h``), and ``sample_bilinear`` gathers images through the
 result, so several images pulled along one displacement share that
 work. ``bilinear_stencil`` applies it to points in physical coordinates
-for the ray transform's system matrix. These, ``gradient`` and
-``divergence`` each return freshly allocated arrays.
+for the ray transform's system matrix, which merges line samples by
+their corner index before ``corner_pixels`` maps each merged corner to
+its pixel. These, ``gradient`` and ``divergence`` each return freshly
+allocated arrays.
 """
 
 from __future__ import annotations
@@ -195,27 +197,30 @@ def characteristics(grid: Grid2D, disp: np.ndarray) -> Characteristic:
     return _bilinear_rule(tx, ty, grid.nx, grid.ny)
 
 
-def bilinear_stencil(grid: Grid2D, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Corner pixels and weights of the bilinear rule at the points (x, y).
+def bilinear_stencil(grid: Grid2D, x: np.ndarray, y: np.ndarray) -> Characteristic:
+    """The characteristic of the points (x, y) in physical coordinates.
 
-    ``x`` and ``y`` are physical coordinates, float64 arrays of one
-    shape; they are overwritten. Returns ``(pixels, weights)``, both
-    (4,) + x.shape in the corner order of ``Characteristic``. ``pixels``
-    holds int32 flat indices ``iy * nx + ix``, and -1 for a corner off
-    the grid.
+    ``x`` and ``y`` are float64 arrays of one shape; they are
+    overwritten. ``corner_pixels`` maps its corners to pixels.
     """
     for q, lo, h in ((x, grid.x_min, grid.hx), (y, grid.y_min, grid.hy)):
         q -= lo
         q /= h
         q -= 0.5
+    return _bilinear_rule(x, y, grid.nx, grid.ny)
+
+
+def corner_pixels(grid: Grid2D) -> np.ndarray:
+    """The pixels of the four corners of every padded cell, as a (4, (ny +
+    4) * (nx + 4)) int32 table in the corner order of ``Characteristic``:
+    ``table[k, c]`` is the flat index ``iy * nx + ix`` of corner k of the
+    point whose ``corner`` is c, and -1 for a corner on the padding."""
     nx, ny = grid.nx, grid.ny
-    corner, weights = _bilinear_rule(x, y, nx, ny)
-    pixel = np.full((ny + 4, nx + 4), -1, dtype=np.int32)  # the padded layout, -1 on the padding
-    pixel[2:ny + 2, 2:nx + 2] = np.arange(nx * ny, dtype=np.int32).reshape(grid.shape)
-    pixels = np.empty((4,) + corner.shape, dtype=np.int32)
-    for k, step in enumerate(_corner_steps(nx)):
-        pixel.ravel()[step:].take(corner, out=pixels[k])
-    return pixels, weights
+    size = (ny + 4) * (nx + 4)
+    pixel = np.full(size + nx + 5, -1, dtype=np.int32)  # -1 on the padding and past its end
+    inner = pixel[:size].reshape(ny + 4, nx + 4)[2:ny + 2, 2:nx + 2]
+    inner[...] = np.arange(nx * ny, dtype=np.int32).reshape(grid.shape)
+    return np.stack([pixel[step:step + size] for step in _corner_steps(nx)])
 
 
 def sample_bilinear(grid: Grid2D, f: np.ndarray, feet: Characteristic) -> np.ndarray:

@@ -118,3 +118,100 @@ def test_every_suite_case_matches_the_newest_record():
                 for case in suite["cases"]}
     built = {case.name: case_hash(case) for suite_id in SUITE_IDS for case in suite_cases(suite_id)}
     assert built == recorded
+
+
+def synthetic_record(cases, wall_s=3.0, selected=None):
+    """A suite record whose suite 1 ran ``cases`` and whose others did not."""
+    suite = {"run": True, "exit_code": 0, "wall_s": wall_s, "cases": cases}
+    if selected is not None:
+        suite["selected"] = selected
+    return {"env": {}, "suites": {"1": suite, "2": {"run": False}, "3": {"run": False}, "4": {"run": False}}}
+
+
+def synthetic_case(name, **changes):
+    case = {"name": name, "config_sha256": "ab" * 32, "ssim": 0.899016, "psnr_db": 21.6894,
+            "iterations": 200, "stop_reason": "max_iters", "last_E": 220.97526567968097,
+            "lowest_E": 220.97526567968097, "lowest_E_iteration": 200, "E_rises": 0}
+    return case | changes
+
+
+def test_compare_passes_equal_records_and_prints_each_case(record_suites, capsys):
+    old = synthetic_record([synthetic_case("a"), synthetic_case("b")], wall_s=3.0)
+    new = synthetic_record([synthetic_case("a"), synthetic_case("b")], wall_s=2.5)
+    assert record_suites.compare_records(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "suite 1: wall 3.0 -> 2.5 s"
+    assert out[1] == ("  a: ssim 0.899016 -> 0.899016, psnr_db 21.6894 -> 21.6894, last_E 220.97526567968097 -> "
+                      "220.97526567968097, lowest_E 220.97526567968097 -> 220.97526567968097, lowest_E_iteration "
+                      "200 -> 200, E_rises 0 -> 0, iterations 200 -> 200: ok")
+    assert out[2].startswith("  b: ") and len(out) == 3
+
+
+E = 220.97526567968097
+
+
+@pytest.mark.parametrize("key,inside,outside", [
+    ("ssim", 0.899017, 0.899018),
+    ("ssim", 0.899015, 0.899014),
+    ("psnr_db", 21.6895, 21.6896),
+    ("psnr_db", 21.6893, 21.6892),
+    ("last_E", E * (1 + 0.9e-12), E * (1 + 1.1e-12)),
+    ("last_E", E * (1 - 0.9e-12), E * (1 - 1.1e-12)),
+    ("lowest_E", E * (1 + 0.9e-12), E * (1 + 1.1e-12)),
+    ("iterations", 200, 199),
+    ("stop_reason", "max_iters", "numerical_failure"),
+    ("config_sha256", "ab" * 32, "ab" * 31 + "ac"),
+])
+def test_compare_gates_each_tolerance(record_suites, capsys, key, inside, outside):
+    old = synthetic_record([synthetic_case("a")])
+    assert record_suites.compare_records(old, synthetic_record([synthetic_case("a", **{key: inside})])) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(": ok")
+    assert record_suites.compare_records(old, synthetic_record([synthetic_case("a", **{key: outside})])) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f": OUTSIDE TOLERANCE ({key})")
+
+
+def test_compare_reports_E_rises_and_the_lowest_E_iteration_without_gating(record_suites, capsys):
+    old = synthetic_record([synthetic_case("a")])
+    new = synthetic_record([synthetic_case("a", E_rises=3, lowest_E_iteration=150)])
+    assert record_suites.compare_records(old, new) == 0
+    assert "lowest_E_iteration 200 -> 150, E_rises 0 -> 3, iterations 200 -> 200: ok" in capsys.readouterr().out
+
+
+def test_compare_lists_a_case_that_only_one_record_has(record_suites, capsys):
+    old = synthetic_record([synthetic_case("a"), synthetic_case("b")])
+    new = synthetic_record([synthetic_case("a"), synthetic_case("c")])
+    assert record_suites.compare_records(old, new) == 1
+    out = capsys.readouterr().out
+    assert "  b: only in the old record\n" in out and "  c: only in the new record\n" in out
+    assert "  a: " in out and out.count(": ok") == 1
+
+
+def test_compare_skips_the_cases_that_a_selection_left_out(record_suites, capsys):
+    old = synthetic_record([synthetic_case("a"), synthetic_case("b")])
+    new = synthetic_record([synthetic_case("b")], selected=["b"])
+    assert record_suites.compare_records(old, new) == 0
+    out = capsys.readouterr().out
+    assert "  a: " not in out and "  b: " in out
+
+
+def test_compare_fails_a_suite_that_the_old_record_did_not_run(record_suites, capsys):
+    old = synthetic_record([synthetic_case("a")])
+    old["suites"]["1"] = {"run": False}
+    assert record_suites.compare_records(old, synthetic_record([synthetic_case("a")])) == 1
+    assert capsys.readouterr().out.splitlines() == ["suite 1: wall not run -> 3.0 s",
+                                                    "  a: only in the new record"]
+
+
+@pytest.mark.parametrize("cases,error", [
+    (["suite4_missing", "suite5"], "unknown case 'suite5'; valid cases: suite1 suite4_extra suite4_missing"),
+    (["suite4_missing"], "--cases names no case of suite 1"),
+], ids=["unknown", "suite_left_empty"])
+def test_cases_that_do_not_fit_the_suites_are_a_usage_error(record_suites, tmp_path, capsys, monkeypatch,
+                                                            cases, error):
+    for var in record_suites.THREAD_VARS:  # main sets the unset ones; restored afterwards
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    with pytest.raises(SystemExit) as exc:
+        record_suites.main(["--ids", "1", "4", "--cases", *cases, "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {error}")
+    assert not (tmp_path / "r.json").exists()
