@@ -22,6 +22,27 @@ class GroupAction(enum.Enum):
     GEOMETRIC = "geometric"
     MASS_PRESERVING = "mass-preserving"
 
+    @property
+    def jacobian_sign(self) -> float:
+        """The sign of the flow sweep along Id + sign v_i/N that carries
+        this action's Jacobian determinant (see ``flow``).
+
+        +1 for GEOMETRIC: the Jacobian to time 1, |Dphi_{t_i,1}|, stepped
+        from A_N = 1 by the backward sweep (i = N-1..0), which stores it
+        times the back-propagated field; the velocity gradient
+        differentiates the forward chain (the transported template) and
+        subtracts the smoothed moment.
+
+        -1 for MASS_PRESERVING: the Jacobian to time 0, |Dphi_{t_i,0}|,
+        stepped from A_0 = 1 by the forward sweep (i = 1..N), which
+        stores it times the transported template, so that chain is the
+        template under the action; the velocity gradient differentiates
+        the backward chain and adds the smoothed moment.
+
+        The other sweep stores its plain pull chain.
+        """
+        return 1.0 if self is GroupAction.GEOMETRIC else -1.0
+
     @classmethod
     def _missing_(cls, name):
         raise ValueError(f"unknown group action {name!r}; use 'geometric' or 'mass-preserving'")

@@ -6,16 +6,14 @@ the small-displacement approximations Id +- (1/N) nu[i]. Three scalar
 recursions are stepped instead of dense deformation maps:
 
 * transported template  J_i = J_{i-1} o (Id - v_i/N),        i = 1..N
-* Jacobian              A_i = (1 + div v_i/N) A_{i+1} o (Id + v_i/N),
-  i = N-1..0 with A_N = 1 (to time 1, geometric action), or
-                        A_i = (1 - div v_i/N) A_{i-1} o (Id - v_i/N),
-  i = 1..N with A_0 = 1 (to time 0, mass-preserving action)
 * back-propagated field B_i = B_{i+1} o (Id + v_i/N),        i = N-1..0
+* Jacobian              A_i = (1 + s div v_i/N) A_{i+s} o (Id + s v_i/N),
+  stepped from 1 by the sweep of sign s = ``action.jacobian_sign``
 
 Two chains are stored, each one ``(N+1, ny, nx)`` array filled slice by
-slice, with the Jacobian folded into the one the action weights: the
-forward chain holds J (geometric) or A J (mass-preserving), the template
-under the action; the backward chain holds A B (geometric) or B.
+slice: the sweep of sign ``action.jacobian_sign`` stores A times its
+pulled image, the other its pulled image alone. Which sweep that is for
+each action is stated once, in ``GroupAction.jacobian_sign``.
 
 One routine runs both sweeps along Id + sign v_i/N: each step builds
 one characteristic (the corner indices and bilinear weights of the feet
@@ -26,13 +24,13 @@ the Jacobian that step with that sign pull through it:
 * ``attach_backprop_field``, the backward sweep (sign +1, i = N-1..0),
   which returns its chain as a plain array.
 
-Before any pull, ``build_flow_chain`` checks every step factor of the
-action's Jacobian, so for either action a too-large velocity fails while
-the objective is evaluated. Each sweep allocates the chain it returns; a
-step's displacement lives only while its characteristic is built, and
-that characteristic is freed before the next step builds its own.
-Nothing is shared between evaluations, and a chain is a function of its
-velocity alone.
+Before any pull, ``build_flow_chain`` checks every step factor
+1 + s div v_i/N of the action's Jacobian, so for either action a
+too-large velocity fails while the objective is evaluated. Each sweep
+allocates the chain it returns; a step's displacement lives only
+while its characteristic is built, and that characteristic is freed
+before the next step builds its own. Nothing is shared between
+evaluations, and a chain is a function of its velocity alone.
 """
 
 from __future__ import annotations
@@ -106,23 +104,20 @@ def build_flow_chain(template: ScalarImage, nu: np.ndarray, action: GroupAction)
     check_count("n_steps", n, 1)
     if nu.shape != (n + 1, 2) + grid.shape:
         raise GridMismatchError(f"velocity shape {nu.shape} does not match template grid {grid.shape}")
-    mass = action is GroupAction.MASS_PRESERVING
-    jac_sign = -1.0 if mass else 1.0
-    for i in _steps(n, jac_sign):
-        _check_step_factor(grid, nu[i], n, jac_sign, i)
-    return FlowChain(grid, action, nu, _sweep(grid, nu, template.values, -1.0, mass))
+    for i in _steps(n, action.jacobian_sign):
+        _check_step_factor(grid, nu[i], n, action.jacobian_sign, i)
+    return FlowChain(grid, action, nu, _sweep(grid, nu, template.values, -1.0, action))
 
 
 def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage) -> np.ndarray:
     """Run the backward sweep along the chain's velocity: a fresh
     (N+1, ny, nx) array whose slice i is grad_image composed to time
-    t_i, times the Jacobian to time 1 for the geometric action.
+    t_i, times the Jacobian when ``chain.action.jacobian_sign`` is +1.
 
-    Raises FlowStabilityError when a geometric Jacobian image stops being
+    Raises FlowStabilityError when that Jacobian image stops being
     finite.
     """
-    geometric = chain.action is GroupAction.GEOMETRIC
-    return _sweep(chain.grid, chain.nu, grad_image.values, 1.0, geometric)
+    return _sweep(chain.grid, chain.nu, grad_image.values, 1.0, chain.action)
 
 
 def _steps(n_steps: int, sign: float) -> range:
@@ -131,12 +126,12 @@ def _steps(n_steps: int, sign: float) -> range:
 
 
 def _sweep(
-    grid: Grid2D, nu: np.ndarray, start: np.ndarray, sign: float, with_jacobian: bool
+    grid: Grid2D, nu: np.ndarray, start: np.ndarray, sign: float, action: GroupAction
 ) -> np.ndarray:
     """Pull ``start`` along Id + sign v_i/N into a fresh chain; slice 0
-    (sign -1) or N (sign +1) is ``start``. ``with_jacobian`` also steps
-    a Jacobian from 1 through the same feet and stores its product with
-    each pulled image."""
+    (sign -1) or N (sign +1) is ``start``. When ``sign`` is
+    ``action.jacobian_sign`` it also steps the action's Jacobian from 1
+    through the same feet and stores its product with each pulled image."""
     n = len(nu) - 1
     chain = np.empty((n + 1,) + grid.shape)
     chain[0 if sign < 0 else n] = start
@@ -144,7 +139,7 @@ def _sweep(
     for i in _steps(n, sign):
         feet = characteristics(grid, (sign / n) * nu[i])
         pulled = sample_bilinear(grid, pulled, feet)
-        if with_jacobian:
+        if sign == action.jacobian_sign:
             jac = jacobian_step(grid, jac, nu[i], feet, n, sign)
             if not np.isfinite(jac).all():
                 raise FlowStabilityError(f"Jacobian determinant became non-finite at time index {i}")

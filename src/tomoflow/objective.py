@@ -6,16 +6,16 @@ The velocity norm uses the trapezoidal rule in time over plain L2 norms
 of the grid samples. The data-term gradient at each time t_i smooths a
 pointwise moment field with the reproducing kernel:
 
-* geometric:        m_i = |Dphi_{t_i,1}| * (gradL o phi_{t_i,1}) * grad(I o phi_{t_i,0})
-                    gradE_i = 2 gamma v_i - smooth(m_i)
-* mass-preserving:  m_i = |Dphi_{t_i,0}| * (I o phi_{t_i,0}) * grad(gradL o phi_{t_i,1})
-                    gradE_i = 2 gamma v_i + smooth(m_i)
+    m_i = C_i * grad(D_i)
+    gradE_i = 2 gamma v_i - s smooth(m_i)
 
-where gradL(f) = 2 T*(T(f) - g). Each action's Jacobian is folded into
-one of the flow's two chains (see ``flow``), so either moment is
-the gradient of the chain without the Jacobian times the chain with it.
-The moment field is zeroed on the one-pixel boundary ring where
-one-sided differences would otherwise inject spurious forces.
+where s = ``action.jacobian_sign``, C is the chain of the flow sweep of
+sign s, which carries the action's Jacobian, and D is the other chain
+(see ``flow``; ``GroupAction.jacobian_sign`` names each for each
+action). The two chains are the template I and the data term's image
+gradient gradL(f) = 2 T*(T(f) - g), each composed to time t_i. The
+moment field is zeroed on the one-pixel boundary ring where one-sided
+differences would otherwise inject spurious forces.
 
 The velocity ``nu`` and its gradient are ``(N+1, 2, ny, nx)`` arrays
 (see ``flow``). Each evaluation allocates the forward chain, held
@@ -31,14 +31,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .action import GroupAction, deform
+from .action import deform
 from .flow import FlowChain, FlowStabilityError, build_flow_chain
 from .grid import Grid2D, ScalarImage, gradient
 from .kernel import KernelSpec, smooth
 from .tomo import Sinogram, back_projection, ray_transform
+
+if TYPE_CHECKING:
+    from .action import GroupAction
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,8 @@ def velocity_norm_sq(grid: Grid2D, nu: np.ndarray) -> float:
 
 
 def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
-    arr[..., 0, :] = 0.0
-    arr[..., -1, :] = 0.0
-    arr[..., :, 0] = 0.0
-    arr[..., :, -1] = 0.0
+    for edge in (0, -1):
+        arr[..., edge, :] = arr[..., :, edge] = 0.0
     return arr
 
 
@@ -84,18 +86,17 @@ def objective_gradient(
     chain: FlowChain, backprop_field: np.ndarray, kernel: KernelSpec, gamma: float
 ) -> np.ndarray:
     """Velocity gradient of E at the chain's velocity, a fresh array
-    shaped like it, from the flow chain and its backward chain; the
-    chain's action picks which array is differentiated and the moment's
-    sign."""
-    if chain.action is GroupAction.GEOMETRIC:
+    shaped like it, from the flow chain and its backward chain;
+    ``chain.action.jacobian_sign`` picks which array is differentiated
+    and the moment's sign."""
+    if chain.action.jacobian_sign > 0:  # the backward sweep carries the Jacobian
         scaled, differentiated, combine = backprop_field, chain.transported_template, np.subtract
     else:
         scaled, differentiated, combine = chain.transported_template, backprop_field, np.add
-    grid = kernel.grid
     out = np.empty(chain.nu.shape)
     for i, v in enumerate(chain.nu):
         # the moment is built in the array gradient() returns
-        moment = gradient(grid, differentiated[i])
+        moment = gradient(kernel.grid, differentiated[i])
         moment *= scaled[i]
         np.multiply(v, 2.0 * gamma, out=out[i])
         combine(out[i], smooth(kernel, _zero_boundary_ring(moment)), out=out[i])

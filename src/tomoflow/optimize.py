@@ -63,8 +63,9 @@ class RegistrationResult:
     """Outcome of ``register``.
 
     ``trajectory[i]`` is the template under the action at time t_i = i/N
-    for the last finite iterate: the transported template J_i, times the
-    Jacobian to time 0 for the mass-preserving action (see ``flow``).
+    for the last finite iterate: slice i of the forward chain (see
+    ``flow``), which holds the action's Jacobian when
+    ``GroupAction.jacobian_sign`` names the forward sweep.
     For either action ``trajectory[-1]`` is the deformed template, the
     image whose projection the data term compares with the data. The
     images are views into that iterate's transported-template array.
@@ -134,8 +135,9 @@ def register(
     for k in range(cfg.max_iters + 1):
         try:
             value, chain, grad_img = evaluate_objective(template, nu, data, cfg.action, cfg.gamma)
-            # the backward sweep builds the geometric Jacobian, so its
-            # finiteness check fails here, before this iterate is kept
+            # when the backward sweep carries the Jacobian (see
+            # GroupAction.jacobian_sign), its finiteness check fails here,
+            # before this iterate is kept
             back = attach_backprop_field(chain, grad_img)
         except FlowStabilityError as exc:
             return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: {exc}")

@@ -386,7 +386,7 @@ def test_system_matrix_matches_scipy_sums_to_rounding(size):
 def test_system_matrix_build_memory_is_bounded():
     # one block's line samples are held at a time, not every angle's
     # triplets, and each block is freed once copied into the final arrays,
-    # so the build peak stays near twice the CSR's size (2.00 here)
+    # so the build peak stays below twice the CSR's size (1.70 here)
     grid = Grid2D(128, 128)
     geom = make_parallel_geometry(grid, 10, 362)
     tracemalloc.start()

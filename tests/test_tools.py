@@ -83,13 +83,17 @@ def test_case_record_counts_no_rise_within_rounding(record_suites, tmp_path):
     assert record_suites.case_record(tmp_path / "rising")["E_rises"] == 1
 
 
-def newest_suites_record() -> Path:
-    """The committed ``SUITES_<PR>.json`` with the highest PR number."""
-    return max(REPO.glob("SUITES_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+def recorded_cases(record_suites, directory: Path = REPO) -> dict[str, dict]:
+    """Each case of the ``SUITES_<PR>.json`` records in ``directory``, by
+    name, from the record with the highest PR number that ran it."""
+    paths = sorted(directory.glob("SUITES_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    merged = record_suites.newest_cases([json.loads(path.read_text()) for path in paths])
+    return {case["name"]: case for suite in merged["suites"].values() for case in suite["cases"]}
 
 
 def test_suite1_matches_the_newest_record(record_suites, tmp_path):
-    """Suite 1 reproduces its case in the newest committed suite record.
+    """Suite 1 reproduces its case in the newest committed suite record
+    that ran it.
 
     The settings hash, the scores as ``metrics.csv`` writes them, the
     iteration count, the stop reason, the number of E rises and the
@@ -98,8 +102,7 @@ def test_suite1_matches_the_newest_record(record_suites, tmp_path):
     commits a new ``SUITES_<PR>.json`` from ``tools/record_suites.py``
     and says in CHANGES.md why the answer moved.
     """
-    record = json.loads(newest_suites_record().read_text())
-    (recorded,) = record["suites"]["1"]["cases"]
+    recorded = recorded_cases(record_suites)["suite1"]
     run = record_suites.run_suite(1, tmp_path / "suite1")
     assert run["exit_code"] == 0
     (case,) = run["cases"]
@@ -110,14 +113,13 @@ def test_suite1_matches_the_newest_record(record_suites, tmp_path):
         assert case[key] == pytest.approx(recorded[key], rel=1e-12, abs=0.0)
 
 
-def test_every_suite_case_matches_the_newest_record():
-    """Each case of suites 1-4 hashes to the ``config_sha256`` recorded for
-    it, so a change to a suite's settings needs a new record."""
-    record = json.loads(newest_suites_record().read_text())
-    recorded = {case["name"]: case["config_sha256"] for suite in record["suites"].values()
-                for case in suite["cases"]}
+def test_every_suite_case_matches_the_newest_record(record_suites):
+    """Each case of suites 1-4 hashes to the ``config_sha256`` of the
+    newest record that ran it, so a change to a suite's settings needs a
+    new record."""
+    recorded = recorded_cases(record_suites)
     built = {case.name: case_hash(case) for suite_id in SUITE_IDS for case in suite_cases(suite_id)}
-    assert built == recorded
+    assert built == {name: recorded.get(name, {}).get("config_sha256") for name in built}
 
 
 def synthetic_record(cases, wall_s=3.0, selected=None):
@@ -215,3 +217,17 @@ def test_cases_that_do_not_fit_the_suites_are_a_usage_error(record_suites, tmp_p
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {error}")
     assert not (tmp_path / "r.json").exists()
+
+
+def test_a_newer_partial_record_overrides_only_its_own_cases(record_suites, tmp_path):
+    full = synthetic_record([synthetic_case("a", ssim=0.1), synthetic_case("b", ssim=0.2)], wall_s=3.0)
+    partial = synthetic_record([synthetic_case("b", ssim=0.3)], wall_s=1.5, selected=["b"])
+    other = synthetic_record([synthetic_case("c")])  # the newest record runs suite 2 only
+    other["suites"]["1"], other["suites"]["2"] = {"run": False}, other["suites"]["1"]
+    # SUITES_10 sorts before SUITES_9 by name; the PR number orders them
+    for number, record in ((9, full), (10, partial), (11, other)):
+        (tmp_path / f"SUITES_{number}.json").write_text(json.dumps(record))
+    cases = recorded_cases(record_suites, tmp_path)
+    assert cases == {"a": synthetic_case("a", ssim=0.1), "b": synthetic_case("b", ssim=0.3),
+                     "c": synthetic_case("c")}
+    assert record_suites.newest_cases([full, partial, other])["suites"]["1"]["wall_s"] == 1.5

@@ -29,11 +29,16 @@ tomoflow are used. Run from the repository root:
 ``--work DIR`` keeps the suites' output files in DIR; by default they go
 to a temporary directory that is removed afterwards.
 
-``--compare OLD.json`` then prints, per case of the suites both records
-ran, old -> new for SSIM, PSNR, the last E, the lowest E and its
+``--compare OLD.json ...`` then prints, per case of the suites both
+sides ran, old -> new for SSIM, PSNR, the last E, the lowest E and its
 iteration, the E rises and the iterations, and per suite its wall time.
-It exits 1 if a case is outside these tolerances, or if only one record
-has it (a case that ``selected`` leaves out is not compared):
+The old side takes each case from the last of the OLD records, in the
+order given, that ran it (``newest_cases``), so a record made with
+``--cases`` overrides only its own cases; a suite's old wall time is
+that of the last of them that ran the suite. Give the committed records
+oldest first, e.g. ``--compare $(ls -v SUITES_*.json)``. It exits 1 if
+a case is outside these tolerances, or if only one side has it (a case
+that ``selected`` leaves out is not compared):
 
 * ``config_sha256``, the iterations and the stop reason are equal;
 * the last and the lowest E agree to ``E_TOLERANCE`` relative;
@@ -152,6 +157,20 @@ def _within(key: str, old, new) -> bool:
     return new == old
 
 
+def newest_cases(records: list[dict]) -> dict:
+    """One record holding each case of ``records`` (oldest first) from the
+    last of them that ran it; a suite's wall time is that of the last
+    record that ran the suite."""
+    suites = {}
+    for record in records:
+        for suite_id, suite in record["suites"].items():
+            if suite["run"]:
+                cases = {c["name"]: c for c in suites.get(suite_id, {"cases": []})["cases"]}
+                cases.update((c["name"], c) for c in suite["cases"])
+                suites[suite_id] = {"run": True, "wall_s": suite["wall_s"], "cases": list(cases.values())}
+    return {"suites": suites}
+
+
 def compare_records(old: dict, new: dict) -> int:
     """Print the new record's cases against the old one's (see the module
     docstring); return 1 if any case is outside tolerance or on one side
@@ -194,8 +213,8 @@ def main(argv=None) -> int:
                     help="run only these cases of the requested suites")
     ap.add_argument("--out", required=True, help="JSON record to write")
     ap.add_argument("--work", default=None, help="keep the suites' output files here")
-    ap.add_argument("--compare", default=None, metavar="OLD.json",
-                    help="compare the new record with this one")
+    ap.add_argument("--compare", nargs="+", default=None, metavar="OLD.json",
+                    help="compare the new record with these, oldest first")
     args = ap.parse_args(argv)
     if args.cases is not None:
         valid = {case.name: suite_id for suite_id in args.ids for case in suite_cases(suite_id)}
@@ -205,7 +224,8 @@ def main(argv=None) -> int:
         unnamed = set(args.ids) - {valid[name] for name in args.cases}
         if unnamed:
             ap.error(f"--cases names no case of suite {min(unnamed)}")
-    old = None if args.compare is None else json.loads(Path(args.compare).read_text())
+    old = None if args.compare is None else newest_cases([json.loads(Path(path).read_text())
+                                                          for path in args.compare])
 
     record = {"env": environment(), "suites": {}}
     with tempfile.TemporaryDirectory() as tmp:
