@@ -31,18 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .action import deform
+from .action import GroupAction, deform
 from .flow import FlowChain, FlowStabilityError, build_flow_chain
 from .grid import Grid2D, ScalarImage, gradient
 from .kernel import KernelSpec, smooth
 from .tomo import Sinogram, back_projection, ray_transform
-
-if TYPE_CHECKING:
-    from .action import GroupAction
 
 
 @dataclass(frozen=True)
@@ -77,8 +73,10 @@ def velocity_norm_sq(grid: Grid2D, nu: np.ndarray) -> float:
 
 
 def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
-    for edge in (0, -1):
-        arr[..., edge, :] = arr[..., :, edge] = 0.0
+    arr[..., 0, :] = 0.0
+    arr[..., -1, :] = 0.0
+    arr[..., :, 0] = 0.0
+    arr[..., :, -1] = 0.0
     return arr
 
 
@@ -93,10 +91,11 @@ def objective_gradient(
         scaled, differentiated, combine = backprop_field, chain.transported_template, np.subtract
     else:
         scaled, differentiated, combine = chain.transported_template, backprop_field, np.add
+    grid = kernel.grid
     out = np.empty(chain.nu.shape)
     for i, v in enumerate(chain.nu):
         # the moment is built in the array gradient() returns
-        moment = gradient(kernel.grid, differentiated[i])
+        moment = gradient(grid, differentiated[i])
         moment *= scaled[i]
         np.multiply(v, 2.0 * gamma, out=out[i])
         combine(out[i], smooth(kernel, _zero_boundary_ring(moment)), out=out[i])

@@ -84,8 +84,9 @@ def test_case_record_counts_no_rise_within_rounding(record_suites, tmp_path):
 
 
 def recorded_cases(record_suites, directory: Path = REPO) -> dict[str, dict]:
-    """Each case of the ``SUITES_<PR>.json`` records in ``directory``, by
-    name, from the record with the highest PR number that ran it."""
+    """The recorded cases of the ``SUITES_<PR>.json`` records in
+    ``directory``, by name, merged in PR-number order by
+    ``newest_cases``."""
     paths = sorted(directory.glob("SUITES_*.json"), key=lambda path: int(path.stem.split("_")[1]))
     merged = record_suites.newest_cases([json.loads(path.read_text()) for path in paths])
     return {case["name"]: case for suite in merged["suites"].values() for case in suite["cases"]}
@@ -119,7 +120,7 @@ def test_every_suite_case_matches_the_newest_record(record_suites):
     new record."""
     recorded = recorded_cases(record_suites)
     built = {case.name: case_hash(case) for suite_id in SUITE_IDS for case in suite_cases(suite_id)}
-    assert built == {name: recorded.get(name, {}).get("config_sha256") for name in built}
+    assert built == {name: case["config_sha256"] for name, case in recorded.items()}
 
 
 def synthetic_record(cases, wall_s=3.0, selected=None):
@@ -230,4 +231,22 @@ def test_a_newer_partial_record_overrides_only_its_own_cases(record_suites, tmp_
     cases = recorded_cases(record_suites, tmp_path)
     assert cases == {"a": synthetic_case("a", ssim=0.1), "b": synthetic_case("b", ssim=0.3),
                      "c": synthetic_case("c")}
-    assert record_suites.newest_cases([full, partial, other])["suites"]["1"]["wall_s"] == 1.5
+    assert record_suites.newest_cases([full, partial, other])["suites"]["1"]["wall_s"] == 3.0
+
+
+def test_compare_drops_the_cases_that_a_newer_whole_run_dropped(record_suites, tmp_path, capsys, monkeypatch):
+    for var in record_suites.THREAD_VARS:  # main sets the unset ones; restored afterwards
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    older = synthetic_record([synthetic_case("a"), synthetic_case("b")], wall_s=3.0)
+    partial = synthetic_record([synthetic_case("b")], wall_s=1.5, selected=["b"])
+    newer = synthetic_record([synthetic_case("a")], wall_s=2.0)  # the suite no longer has b
+    paths = [tmp_path / f"SUITES_{number}.json" for number in (7, 8, 9)]
+    for path, record in zip(paths, (older, partial, newer)):
+        path.write_text(json.dumps(record))
+    rerun = synthetic_record([synthetic_case("a")], wall_s=2.5)["suites"]["1"]
+    monkeypatch.setattr(record_suites, "run_suite", lambda *args: rerun)
+    argv = ["--ids", "1", "--out", str(tmp_path / "r.json"), "--compare", *map(str, paths)]
+    assert record_suites.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "suite 1: wall 2.0 -> 2.5 s"
+    assert out[1].startswith("  a: ") and out[1].endswith(": ok") and len(out) == 2

@@ -32,13 +32,14 @@ to a temporary directory that is removed afterwards.
 ``--compare OLD.json ...`` then prints, per case of the suites both
 sides ran, old -> new for SSIM, PSNR, the last E, the lowest E and its
 iteration, the E rises and the iterations, and per suite its wall time.
-The old side takes each case from the last of the OLD records, in the
-order given, that ran it (``newest_cases``), so a record made with
-``--cases`` overrides only its own cases; a suite's old wall time is
-that of the last of them that ran the suite. Give the committed records
-oldest first, e.g. ``--compare $(ls -v SUITES_*.json)``. It exits 1 if
-a case is outside these tolerances, or if only one side has it (a case
-that ``selected`` leaves out is not compared):
+The old side (``newest_cases``) takes each suite's cases from the last
+of the OLD records, in the order given, that ran the whole suite, and
+its wall time from that record; a later record made with ``--cases``
+overrides only its own cases, and a case that a later whole run no
+longer has is dropped. Give the committed records oldest first, e.g.
+``--compare $(ls -v SUITES_*.json)``. It exits 1 if a case is outside
+these tolerances, or if only one side has it (a case that ``selected``
+leaves out is not compared):
 
 * ``config_sha256``, the iterations and the stop reason are equal;
 * the last and the lowest E agree to ``E_TOLERANCE`` relative;
@@ -158,16 +159,21 @@ def _within(key: str, old, new) -> bool:
 
 
 def newest_cases(records: list[dict]) -> dict:
-    """One record holding each case of ``records`` (oldest first) from the
-    last of them that ran it; a suite's wall time is that of the last
-    record that ran the suite."""
+    """One record holding, per suite, the cases and the wall time of the
+    last of ``records`` (oldest first) that ran the whole suite, each
+    case replaced by a later record that ran it as ``selected``. A suite
+    that no record ran whole has no wall time."""
     suites = {}
     for record in records:
         for suite_id, suite in record["suites"].items():
-            if suite["run"]:
-                cases = {c["name"]: c for c in suites.get(suite_id, {"cases": []})["cases"]}
-                cases.update((c["name"], c) for c in suite["cases"])
-                suites[suite_id] = {"run": True, "wall_s": suite["wall_s"], "cases": list(cases.values())}
+            if not suite["run"]:
+                continue
+            if "selected" not in suite:
+                suites[suite_id] = {"run": True, "wall_s": suite["wall_s"], "cases": {}}
+            cases = suites.setdefault(suite_id, {"run": True, "cases": {}})["cases"]
+            cases.update((case["name"], case) for case in suite["cases"])
+    for suite in suites.values():
+        suite["cases"] = list(suite["cases"].values())
     return {"suites": suites}
 
 
