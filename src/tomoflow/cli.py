@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .experiments import SuiteCase, run_case, run_suite
+from .experiments import SuiteCase, format_scores, run_case, run_suite
 from .grid import Grid2D
 from .io import check_output_dir, preview_path, read_igrd, read_isin, write_image, write_isin, write_table
 from .metrics import check_ssim_size, psnr, ssim
@@ -176,7 +176,7 @@ def cmd_evaluate(args) -> int:
     img = read_igrd(args.image)
     ref = read_igrd(args.reference)
     write_table(args.out, ["image", "ssim", "psnr"],
-                [[str(args.image), f"{ssim(img, ref):.6f}", f"{psnr(img, ref):.4f}"]])
+                [[str(args.image), *format_scores(ssim(img, ref), psnr(img, ref))]])
     return EXIT_OK
 
 

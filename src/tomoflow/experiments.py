@@ -11,11 +11,14 @@ Each case, and each ``tomoflow register`` config, runs through
 transported-template trajectory and the baselines (each an IGRD with its
 PGM preview), the data, a per-iteration objective CSV, a metrics CSV and
 a JSON manifest holding the whole case record into its output
-directory. Every file is written through ``io``.
+directory. Every file is written through ``io``. ``read_answers`` reads
+a case's answers back from those files; ``SCORE_DECIMALS`` and
+``E_TOLERANCE`` state how exactly they are written and compared.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -36,6 +39,13 @@ SUITE_IDS = (1, 2, 3, 4)
 # sensitivity sweep axes of suite 3
 SUITE3_SIGMAS = (1.0, 2.0, 2.5, 3.0, 4.0, 8.0)
 SUITE3_GAMMAS = (1e-7, 1e-5, 1e-3, 1e-1, 10.0)
+
+# The decimals of every SSIM and PSNR that the package writes, by their
+# metrics.csv column; a rerun's scores may move by one unit of the last.
+SCORE_DECIMALS = {"ssim": 6, "psnr_db": 4}
+# The relative tolerance to which a rerun's E agrees with its record; a step
+# of E by no more than this fraction of E is not a rise.
+E_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -164,18 +174,9 @@ def run_case(case: SuiteCase, out_dir: Path) -> CaseResult:
                 ([k, value.total, value.penalty, value.discrepancy, grad_norm]
                  for k, (value, grad_norm) in enumerate(zip(reg.objective_history, reg.grad_norms))))
     snr = measure_snr(clean, data) if math.isfinite(case.noise.snr_db) else math.inf  # noise-free
-    write_table(
-        out_dir / "metrics.csv",
-        ["name", "ssim", "psnr_db", "snr_db", "iterations", "stop_reason"],
-        [[
-            case.name,
-            f"{res.ssim_final:.6f}",
-            f"{res.psnr_final:.4f}",
-            f"{snr:.4f}",
-            reg.iterations_run,
-            reg.stop_reason.value,
-        ]],
-    )
+    write_table(out_dir / "metrics.csv", ["name", "ssim", "psnr_db", "snr_db", "iterations", "stop_reason"],
+                [[case.name, *format_scores(res.ssim_final, res.psnr_final), f"{snr:.4f}", reg.iterations_run,
+                  reg.stop_reason.value]])
     for name, rec in baselines.items():
         write_image(out_dir / f"{name}.igrd", rec)
     write_manifest(
@@ -183,6 +184,39 @@ def run_case(case: SuiteCase, out_dir: Path) -> CaseResult:
         {"case": case_record(case), "config_sha256": case_hash(case), "version": __version__},
     )
     return res
+
+
+def format_scores(ssim_value: float, psnr_value: float) -> list[str]:
+    """SSIM and PSNR as every file of the package writes them, to ``SCORE_DECIMALS``."""
+    return [f"{ssim_value:.{SCORE_DECIMALS['ssim']}f}", f"{psnr_value:.{SCORE_DECIMALS['psnr_db']}f}"]
+
+
+def read_answers(case_dir: Path) -> dict:
+    """The answers of the case that ``run_case`` wrote into ``case_dir``:
+    its name, ``config_sha256`` from the manifest, SSIM, PSNR, the
+    iterations and the stop reason from ``metrics.csv``, and from
+    ``objective.csv`` the last E, the lowest E and the first row that
+    holds it, and the number of rows at which E rose. A step from a to b counts as a rise
+    only when b - a > E_TOLERANCE * |a|, so rounding noise in an E that
+    has stopped moving counts no rises."""
+    manifest = json.loads((case_dir / "manifest.json").read_text())
+    with open(case_dir / "metrics.csv", newline="") as fh:
+        (metrics,) = csv.DictReader(fh)
+    with open(case_dir / "objective.csv", newline="") as fh:
+        totals = [float(row["total"]) for row in csv.DictReader(fh)]
+    lowest = min(range(len(totals)), key=totals.__getitem__)
+    return {
+        "name": metrics["name"],
+        "config_sha256": manifest["config_sha256"],
+        "ssim": float(metrics["ssim"]),
+        "psnr_db": float(metrics["psnr_db"]),
+        "iterations": int(metrics["iterations"]),
+        "stop_reason": metrics["stop_reason"],
+        "last_E": totals[-1],
+        "lowest_E": totals[lowest],
+        "lowest_E_iteration": lowest,
+        "E_rises": sum(b - a > E_TOLERANCE * abs(a) for a, b in zip(totals, totals[1:])),
+    }
 
 
 def case_record(case: SuiteCase) -> dict:
@@ -206,9 +240,6 @@ def run_suite(suite_id: int, out_dir, full: bool = False) -> list[CaseResult]:
 
 def _write_suite3_table(results: list[CaseResult], path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_table(path, ["gamma", "sigma", "ssim", "psnr"], ([
-        f"{res.case.cfg.gamma:g}",
-        f"{res.case.cfg.sigma:g}",
-        f"{res.ssim_final:.6f}",
-        f"{res.psnr_final:.4f}",
-    ] for res in results))
+    write_table(path, ["gamma", "sigma", "ssim", "psnr"],
+                ([f"{res.case.cfg.gamma:g}", f"{res.case.cfg.sigma:g}", *format_scores(res.ssim_final, res.psnr_final)]
+                 for res in results))

@@ -1,14 +1,14 @@
 """The suite recorder in ``tools/``, which later runs are compared against."""
 
+import hashlib
 import importlib.util
 import json
-import math
 import os
 from pathlib import Path
 
 import pytest
 
-from tomoflow.experiments import SUITE_IDS, case_hash, suite_cases
+from tomoflow.experiments import E_TOLERANCE, SUITE_IDS, case_hash, suite_cases
 
 REPO = Path(__file__).resolve().parents[1]
 TOOLS = REPO / "tools"
@@ -35,52 +35,15 @@ def test_importing_record_suites_leaves_the_environment_alone(record_suites, mon
     assert dict(os.environ) == before
 
 
-def write_case(case_dir, totals):
-    """A case directory with the three files a suite case writes."""
-    case_dir.mkdir()
-    (case_dir / "manifest.json").write_text(json.dumps({"config_sha256": "ab" * 32, "iterations": 5}))
-    (case_dir / "metrics.csv").write_text(
-        "name,ssim,psnr_db,snr_db,iterations,stop_reason\r\n"
-        f"case_a,0.875,21.5,4.87,{len(totals) - 1},max_iters\r\n"
-    )
-    rows = "".join(f"{k},{e!r},0.5,{e - 0.5!r},1.0\r\n" for k, e in enumerate(totals))
-    (case_dir / "objective.csv").write_text("iteration,total,penalty,discrepancy,grad_norm\r\n" + rows)
-
-
-def test_case_record_reads_the_case_files(record_suites, tmp_path):
-    totals = [9.0, 7.5, 8.25, 6.0, 6.5, 7.0]
-    write_case(tmp_path / "case_a", totals)
-    rec = record_suites.case_record(tmp_path / "case_a")
-    assert rec == {
-        "name": "case_a",
-        "config_sha256": "ab" * 32,
-        "ssim": 0.875,
-        "psnr_db": 21.5,
-        "iterations": 5,
-        "stop_reason": "max_iters",
-        "last_E": 7.0,
-        "lowest_E": 6.0,
-        "lowest_E_iteration": 3,
-        "E_rises": 3,
-    }
-
-
-def test_case_record_keeps_the_first_of_equal_lowest_E(record_suites, tmp_path):
-    write_case(tmp_path / "case_a", [3.0, 2.0, 2.5, 2.0])
-    rec = record_suites.case_record(tmp_path / "case_a")
-    assert (rec["lowest_E"], rec["lowest_E_iteration"], rec["E_rises"]) == (2.0, 1, 1)
-
-
-def test_case_record_counts_no_rise_within_rounding(record_suites, tmp_path):
-    # E settled at 193.918714991416 and moving by an ulp or two, as in
-    # suite 3's sigma 1, gamma 10 cell; then one rise of 1e-9 relative
-    e = 193.918714991416
-    up = math.nextafter(e, math.inf)
-    totals = [200.0, e, up, e, up, math.nextafter(up, math.inf), e]
-    write_case(tmp_path / "settled", totals)
-    assert record_suites.case_record(tmp_path / "settled")["E_rises"] == 0
-    write_case(tmp_path / "rising", totals + [e * (1 + 1e-9)])
-    assert record_suites.case_record(tmp_path / "rising")["E_rises"] == 1
+def test_environment_holds_the_documented_block(record_suites, monkeypatch):
+    for value, var in enumerate(record_suites.THREAD_VARS, start=1):
+        monkeypatch.setenv(var, str(value))
+    env = record_suites.environment()
+    assert set(env) == {"python", "numpy", "scipy", "tomoflow", "nproc", "threads", "commit", "source_sha256"}
+    assert env["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "3"}
+    # cat src/tomoflow/*.py | sha256sum, in the C locale's name order
+    sources = sorted((REPO / "src" / "tomoflow").glob("*.py"), key=lambda path: path.name.encode())
+    assert env["source_sha256"] == hashlib.sha256(b"".join(path.read_bytes() for path in sources)).hexdigest()
 
 
 def recorded_cases(record_suites, directory: Path = REPO) -> dict[str, dict]:
@@ -99,9 +62,10 @@ def test_suite1_matches_the_newest_record(record_suites, tmp_path):
     The settings hash, the scores as ``metrics.csv`` writes them, the
     iteration count, the stop reason, the number of E rises and the
     iteration of the lowest E must be equal; the last and the lowest E
-    must agree to 1e-12 relative. A change that moves suite 1 on purpose
-    commits a new ``SUITES_<PR>.json`` from ``tools/record_suites.py``
-    and says in CHANGES.md why the answer moved.
+    must agree to ``E_TOLERANCE`` relative. A change that moves suite 1
+    on purpose commits a new ``SUITES_<PR>.json`` from
+    ``tools/record_suites.py`` and says in CHANGES.md why the answer
+    moved.
     """
     recorded = recorded_cases(record_suites)["suite1"]
     run = record_suites.run_suite(1, tmp_path / "suite1")
@@ -111,7 +75,7 @@ def test_suite1_matches_the_newest_record(record_suites, tmp_path):
              "lowest_E_iteration")
     assert {key: case[key] for key in exact} == {key: recorded[key] for key in exact}
     for key in ("last_E", "lowest_E"):
-        assert case[key] == pytest.approx(recorded[key], rel=1e-12, abs=0.0)
+        assert case[key] == pytest.approx(recorded[key], rel=E_TOLERANCE, abs=0.0)
 
 
 def test_every_suite_case_matches_the_newest_record(record_suites):
@@ -218,6 +182,19 @@ def test_cases_that_do_not_fit_the_suites_are_a_usage_error(record_suites, tmp_p
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {error}")
     assert not (tmp_path / "r.json").exists()
+
+
+def test_an_unwritable_out_is_a_usage_error_before_any_suite_runs(record_suites, tmp_path, capsys,
+                                                                    monkeypatch):
+    for var in record_suites.THREAD_VARS:  # main sets the unset ones; restored afterwards
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr("tomoflow.experiments.run_case", lambda *args: pytest.fail("a case ran"))
+    out = tmp_path / "missing" / "s1.json"
+    with pytest.raises(SystemExit) as exc:
+        record_suites.main(["--ids", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f": error: cannot write --out: [Errno 2] No such file or directory: '{out}'")
 
 
 def test_a_newer_partial_record_overrides_only_its_own_cases(record_suites, tmp_path):

@@ -1,20 +1,15 @@
 """Record the answers and wall times of the experiment suites as one JSON file.
 
 Runs each requested suite's cases in this process as ``tomoflow suite
---id ID`` runs them (``experiments.run_case``, then ``cli.report``), then
-reads the ``manifest.json``, ``metrics.csv`` and ``objective.csv`` that
-each case writes. The record
-holds an environment block (versions, cores, thread variables, the
-commit and the sha256 of the ``tomoflow/*.py`` bytes that ran) and, per
-suite, its wall time and exit code and per case:
-
-* ``config_sha256`` from the manifest;
-* SSIM, PSNR, iterations and the stop reason from ``metrics.csv``;
-* the last E, the lowest E and its iteration, and the number of
-  iterations at which E rose, from ``objective.csv``. A step from a to b
-  counts as a rise only when b - a > 1e-12 * |a| (``RISE_TOLERANCE``,
-  the relative tolerance the tier-1 suite-1 check applies to E), so
-  rounding noise in an E that has stopped moving counts no rises.
+--id ID`` runs them (``experiments.run_case``, then ``cli.report``), but
+writes no ``suite3_scores.csv``, and reads each case's answers back with
+``experiments.read_answers``. The record holds an environment block
+(versions, cores, thread variables, the commit and the sha256 of the
+``tomoflow/*.py`` bytes that ran) and, per suite, its wall time and exit
+code and per case the fields of ``read_answers``: ``config_sha256``,
+SSIM, PSNR, iterations, the stop reason, the last E, the lowest E and
+its iteration, and the number of iterations at which E rose (by more
+than ``experiments.E_TOLERANCE`` relative).
 
 Suites that are not requested are recorded as not run. ``--cases NAME
 ...`` runs only the named cases of the requested suites (each requested
@@ -26,8 +21,10 @@ tomoflow are used. Run from the repository root:
 
     PYTHONPATH=src python3 tools/record_suites.py --ids 1 2 4 3 --out suites.json
 
-``--work DIR`` keeps the suites' output files in DIR; by default they go
-to a temporary directory that is removed afterwards.
+The directory of ``--out`` is checked before any suite runs; a missing
+one is a usage error (exit 2). ``--work DIR`` keeps the suites' output
+files in DIR; by default they go to a temporary directory that is
+removed afterwards.
 
 ``--compare OLD.json ...`` then prints, per case of the suites both
 sides ran, old -> new for SSIM, PSNR, the last E, the lowest E and its
@@ -42,9 +39,10 @@ these tolerances, or if only one side has it (a case that ``selected``
 leaves out is not compared):
 
 * ``config_sha256``, the iterations and the stop reason are equal;
-* the last and the lowest E agree to ``E_TOLERANCE`` relative;
-* SSIM and PSNR agree to one unit of the last decimal that
-  ``metrics.csv`` writes (``SCORE_DECIMALS``).
+* the last and the lowest E agree to ``experiments.E_TOLERANCE``
+  relative;
+* SSIM and PSNR agree to one unit of the last decimal that the package
+  writes (``experiments.SCORE_DECIMALS``).
 
 The E rises and the iteration of the lowest E are reported, not gated:
 rounding can move the iterate at which a settled E is lowest.
@@ -53,7 +51,6 @@ rounding can move the iterate at which a settled E is lowest.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import importlib.metadata
 import json
@@ -66,12 +63,6 @@ import time
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-# A rise of E by at most this fraction of E is not counted.
-RISE_TOLERANCE = 1e-12
-# --compare: the largest relative change of the last and the lowest E, and
-# the decimals of SSIM and PSNR in metrics.csv, which may move by one unit.
-E_TOLERANCE = 1e-12
-SCORE_DECIMALS = {"ssim": 6, "psnr_db": 4}
 
 
 def source_sha256(package_dir: Path) -> str:
@@ -110,32 +101,12 @@ def environment() -> dict:
     }
 
 
-def case_record(case_dir: Path) -> dict:
-    manifest = json.loads((case_dir / "manifest.json").read_text())
-    with open(case_dir / "metrics.csv", newline="") as fh:
-        (metrics,) = csv.DictReader(fh)
-    with open(case_dir / "objective.csv", newline="") as fh:
-        totals = [float(row["total"]) for row in csv.DictReader(fh)]
-    lowest = min(range(len(totals)), key=totals.__getitem__)
-    return {
-        "name": metrics["name"],
-        "config_sha256": manifest["config_sha256"],
-        "ssim": float(metrics["ssim"]),
-        "psnr_db": float(metrics["psnr_db"]),
-        "iterations": int(metrics["iterations"]),
-        "stop_reason": metrics["stop_reason"],
-        "last_E": totals[-1],
-        "lowest_E": totals[lowest],
-        "lowest_E_iteration": lowest,
-        "E_rises": sum(b - a > RISE_TOLERANCE * abs(a) for a, b in zip(totals, totals[1:])),
-    }
-
-
 def run_suite(suite_id: int, out_dir: Path, selected: list[str] | None = None) -> dict:
     """Run the suite's cases, or those named in ``selected``, as ``tomoflow
-    suite`` runs each (``run_case``, then ``report``), and record them."""
+    suite`` runs each (``run_case``, then ``report``), and record their
+    answers."""
     from tomoflow.cli import report
-    from tomoflow.experiments import run_case, suite_cases
+    from tomoflow.experiments import read_answers, run_case, suite_cases
 
     cases = [case for case in suite_cases(suite_id) if selected is None or case.name in selected]
     start = time.perf_counter()
@@ -143,13 +114,15 @@ def run_suite(suite_id: int, out_dir: Path, selected: list[str] | None = None) -
     wall = time.perf_counter() - start
     names = sorted(case.name for case in cases)
     record = {"run": True, "exit_code": code, "wall_s": round(wall, 3),
-              "cases": [case_record(out_dir / name) for name in names]}
+              "cases": [read_answers(out_dir / name) for name in names]}
     if selected is not None:
         record["selected"] = names
     return record
 
 
 def _within(key: str, old, new) -> bool:
+    from tomoflow.experiments import E_TOLERANCE, SCORE_DECIMALS
+
     if key in SCORE_DECIMALS:
         scale = 10 ** SCORE_DECIMALS[key]
         return abs(round(new * scale) - round(old * scale)) <= 1
@@ -212,6 +185,7 @@ def main(argv=None) -> int:
     for var in THREAD_VARS:  # before numpy is imported
         os.environ.setdefault(var, "1")
     from tomoflow.experiments import SUITE_IDS, suite_cases
+    from tomoflow.io import check_output_dir
 
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--ids", type=int, nargs="+", required=True, choices=SUITE_IDS)
@@ -222,6 +196,10 @@ def main(argv=None) -> int:
     ap.add_argument("--compare", nargs="+", default=None, metavar="OLD.json",
                     help="compare the new record with these, oldest first")
     args = ap.parse_args(argv)
+    try:
+        check_output_dir(args.out)
+    except OSError as exc:
+        ap.error(f"cannot write --out: {exc}")
     if args.cases is not None:
         valid = {case.name: suite_id for suite_id in args.ids for case in suite_cases(suite_id)}
         unknown = [name for name in args.cases if name not in valid]
