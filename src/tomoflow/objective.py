@@ -18,13 +18,15 @@ moment field is zeroed on the one-pixel boundary ring where one-sided
 differences would otherwise inject spurious forces.
 
 The velocity ``nu`` and its gradient are ``(N+1, 2, ny, nx)`` arrays
-(see ``flow``). Each evaluation allocates the forward chain, held
-with ``nu`` in a ``FlowChain``, from which the backward sweep
-(``flow.attach_backprop_field``) and ``objective_gradient`` read the
-velocity. The backward sweep allocates the second ``(N+1, ny, nx)``
-chain, and each gradient one array shaped like ``nu``. Per time sample,
-the moment is built in the ``(2, ny, nx)`` array that ``gradient``
-returns and its smoothing is one more of that size.
+(see ``flow``). ``value_and_gradient`` is one evaluation: E, then the
+backward sweep (``flow.attach_backprop_field``), then the gradient,
+written into the caller's array. The forward sweep allocates its
+chain, held with ``nu`` in a ``FlowChain``, from which the backward
+sweep and ``objective_gradient`` read the velocity; the backward sweep
+allocates the second ``(N+1, ny, nx)`` chain. The gradient allocates no
+velocity-sized array. Per time sample, the moment is built in the
+``(2, ny, nx)`` array that ``gradient`` returns and its smoothing is one
+more of that size.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import GroupAction, deform
-from .flow import FlowChain, FlowStabilityError, build_flow_chain
+from .flow import FlowChain, FlowStabilityError, attach_backprop_field, build_flow_chain
 from .grid import Grid2D, ScalarImage, gradient
 from .kernel import KernelSpec, smooth
 from .tomo import Sinogram, back_projection, ray_transform
@@ -81,10 +83,11 @@ def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
 
 
 def objective_gradient(
-    chain: FlowChain, backprop_field: np.ndarray, kernel: KernelSpec, gamma: float
+    chain: FlowChain, backprop_field: np.ndarray, kernel: KernelSpec, gamma: float, out: np.ndarray
 ) -> np.ndarray:
-    """Velocity gradient of E at the chain's velocity, a fresh array
-    shaped like it, from the flow chain and its backward chain;
+    """Write the velocity gradient of E at the chain's velocity into
+    ``out``, an array shaped like it, and return ``out``. It is built
+    from the flow chain and its backward chain;
     ``chain.action.jacobian_sign`` picks which array is differentiated
     and the moment's sign."""
     if chain.action.jacobian_sign > 0:  # the backward sweep carries the Jacobian
@@ -92,7 +95,6 @@ def objective_gradient(
     else:
         scaled, differentiated, combine = chain.transported_template, backprop_field, np.add
     grid = kernel.grid
-    out = np.empty(chain.nu.shape)
     for i, v in enumerate(chain.nu):
         # the moment is built in the array gradient() returns
         moment = gradient(grid, differentiated[i])
@@ -123,3 +125,22 @@ def evaluate_objective(
     if not (math.isfinite(value.total) and np.isfinite(deformed.values).all()):
         raise FlowStabilityError("objective or deformed template not finite")
     return value, chain, grad_image
+
+
+def value_and_gradient(
+    template: ScalarImage, nu: np.ndarray, data: Sinogram, action: GroupAction, gamma: float,
+    kernel: KernelSpec, out: np.ndarray,
+) -> tuple[ObjectiveValue, float, FlowChain]:
+    """E(nu) and its velocity gradient, written into ``out``.
+
+    Returns (value, grad_norm, chain): grad_norm is the velocity norm of
+    the gradient and chain the flow chain of nu. Raises
+    FlowStabilityError when either sweep fails or the objective is not
+    finite (see ``evaluate_objective`` and ``attach_backprop_field``).
+    ``out`` is written only after both sweeps have succeeded, so a
+    failure leaves it as it was. ``out`` must not be ``nu``, which the
+    chain holds.
+    """
+    value, chain, grad_image = evaluate_objective(template, nu, data, action, gamma)
+    objective_gradient(chain, attach_backprop_field(chain, grad_image), kernel, gamma, out)
+    return value, math.sqrt(velocity_norm_sq(template.grid, out)), chain

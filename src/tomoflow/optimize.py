@@ -9,15 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import GroupAction
-from .flow import FlowChain, FlowStabilityError, attach_backprop_field, build_flow_chain
+from .flow import FlowChain, FlowStabilityError, build_flow_chain
 from .grid import ScalarImage, check_count, check_real
 from .kernel import make_kernel
-from .objective import (
-    ObjectiveValue,
-    evaluate_objective,
-    objective_gradient,
-    velocity_norm_sq,
-)
+from .objective import ObjectiveValue, value_and_gradient
 from .tomo import Sinogram, SinogramGeometry
 
 
@@ -99,67 +94,60 @@ def register(
 ) -> RegistrationResult:
     """Minimize E by fixed-step gradient descent from a zero velocity field.
 
-    Each iteration rebuilds the transported-template and
-    back-propagation chains, assembles the kernel-smoothed gradient and
-    takes one step. Stops on the gradient-norm tolerance, the iteration
-    budget, or a numerical failure (a FlowStabilityError from either
-    sweep or the objective, or a non-finite gradient norm), in which
-    case the last finite iterate is returned.
+    Each iteration gets E and its velocity gradient from one
+    ``value_and_gradient`` call and takes one step. Stops on the
+    gradient-norm tolerance, the iteration budget, or a numerical
+    failure (a FlowStabilityError from either sweep or the objective, or
+    a non-finite gradient norm), in which case the last finite iterate
+    is returned.
 
-    Between evaluations only the iterate, the last finite iterate and
-    the histories stay alive; no flow chain is kept. The last finite
-    iterate is freed once both sweeps of the next evaluation have
-    succeeded, before the gradient is allocated, and the back-propagated
-    chain and the transported template are freed after the gradient. The
-    next iterate is written into the gradient's buffer, never into the
-    last finite iterate. On a numerical failure in an evaluation, the
-    returned trajectory is rebuilt from the last finite iterate with
+    A run holds two velocity arrays, the iterate and a spare, and
+    alternates them. Until both sweeps of the iterate have passed, the
+    spare holds the last finite iterate; then it receives the iterate's
+    gradient, is scaled into the step and becomes the next iterate,
+    while the iterate becomes the spare. So an evaluation holds two
+    velocity arrays and its own two chains, and no chain outlives its
+    evaluation. On a numerical failure in an evaluation, the returned
+    trajectory is rebuilt from the last finite iterate with
     ``build_flow_chain``; at iteration 0 that is the zero field.
     """
     if data.geometry != geom:
         raise ValueError("sinogram geometry does not match the requested geometry")
     grid = template.grid
     kern = make_kernel(grid, cfg.sigma)
-    nu = np.zeros((cfg.n_steps + 1, 2) + grid.shape)
+    shape = (cfg.n_steps + 1, 2) + grid.shape
+    nu, spare = np.zeros(shape), np.zeros(shape)
 
     history: list[ObjectiveValue] = []
     grad_norms: list[float] = []
-    last = nu  # the last finite iterate: the zero field until an evaluation succeeds
 
     def stop(k: int, reason: StopReason, detail: str = "", chain: FlowChain | None = None):
-        if chain is None:  # this evaluation failed: rebuild the last finite iterate's chain
-            chain = build_flow_chain(template, last, cfg.action)
+        if chain is None:  # this evaluation failed: the spare is the last finite iterate
+            chain = build_flow_chain(template, spare, cfg.action)
         trajectory = [ScalarImage(grid, f) for f in chain.transported_template]
-        return RegistrationResult(last, trajectory, history, grad_norms, k, reason, detail)
+        return RegistrationResult(chain.nu, trajectory, history, grad_norms, k, reason, detail)
 
-    for k in range(cfg.max_iters + 1):
+    def evaluate(k: int) -> RegistrationResult | None:
+        """Iteration k's evaluation at nu: the run's result if it ends the run."""
         try:
-            value, chain, grad_img = evaluate_objective(template, nu, data, cfg.action, cfg.gamma)
-            # when the backward sweep carries the Jacobian (see
-            # GroupAction.jacobian_sign), its finiteness check fails here,
-            # before this iterate is kept
-            back = attach_backprop_field(chain, grad_img)
+            value, grad_norm, chain = value_and_gradient(
+                template, nu, data, cfg.action, cfg.gamma, kern, spare)
         except FlowStabilityError as exc:
             return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: {exc}")
-
         history.append(value)
-        last = nu  # frees the previous iterate, so the gradient can reuse its memory
-
-        grad = objective_gradient(chain, back, kern, cfg.gamma)
-        del back  # free the back-propagated chain before the next build
-        grad_norm = math.sqrt(velocity_norm_sq(grid, grad))
         grad_norms.append(grad_norm)
-
         if not math.isfinite(grad_norm):
             return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: gradient norm not finite", chain)
         if grad_norm <= cfg.grad_tol:
             return stop(k, StopReason.GRAD_TOL, chain=chain)
         if k == cfg.max_iters:
             return stop(k, StopReason.MAX_ITERS, chain=chain)
-        del chain  # free the transported template before the next build
+        return None
 
-        grad *= cfg.alpha  # the step, scaled in place
-        # never into nu: it is the last finite iterate if the next evaluation fails
-        nu = np.subtract(nu, grad, out=grad)
+    for k in range(cfg.max_iters + 1):
+        if (result := evaluate(k)) is not None:
+            return result
+        spare *= cfg.alpha  # the step
+        nu, spare = np.subtract(nu, spare, out=spare), nu
 
     raise AssertionError("unreachable")

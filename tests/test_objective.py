@@ -10,6 +10,7 @@ from tomoflow import (
     make_parallel_geometry,
     ray_transform,
 )
+import tomoflow.flow as flow
 from tomoflow.flow import FlowStabilityError, attach_backprop_field
 from tomoflow.kernel import make_kernel, smooth
 from tomoflow.objective import (
@@ -17,6 +18,7 @@ from tomoflow.objective import (
     evaluate_objective,
     objective_gradient,
     time_weights,
+    value_and_gradient,
     velocity_norm_sq,
 )
 from tomoflow.tomo import back_projection
@@ -51,9 +53,10 @@ def zero_velocity(grid, n_steps):
 
 
 def assemble_gradient(template, nu, data, action, kern, gamma):
-    value, chain, grad_img = evaluate_objective(template, nu, data, action, gamma)
-    back = attach_backprop_field(chain, grad_img)
-    return objective_gradient(chain, back, kern, gamma), value
+    """The gradient and value of E at nu, from the call ``register`` makes."""
+    grad = np.empty_like(nu)
+    value, _, _ = value_and_gradient(template, nu, data, action, gamma, kern, grad)
+    return grad, value
 
 
 def test_time_weights_sum_to_one():
@@ -270,3 +273,69 @@ def test_only_the_penalty_reads_the_first_velocity_slice(action, setup16):
     assert after.discrepancy == before.discrepancy
     expected = gamma * grid.cell_area / (2 * n) * float(np.sum(moved[0] ** 2) - np.sum(nu[0] ** 2))
     assert after.penalty - before.penalty == pytest.approx(expected, rel=1e-12)
+
+
+SENTINEL = 1234.5678
+
+
+def assert_failure_leaves_out_unchanged(template, nu, data, action, match):
+    kern = make_kernel(template.grid, 4.0)
+    out = np.full_like(nu, SENTINEL)
+    with pytest.raises(FlowStabilityError, match=match):
+        value_and_gradient(template, nu, data, action, 1e-7, kern, out)
+    assert out.tobytes() == np.full_like(nu, SENTINEL).tobytes()
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_value_and_gradient_step_factor_failure_leaves_out(action, setup16):
+    grid, _, template, data = setup16
+    # |div v| far above N = 5, of both signs, so either action's pre-check fails
+    nu = constant_time_field(random_smooth_field(grid, seed=5, amplitude=200.0), 5)
+    assert_failure_leaves_out_unchanged(template, nu, data, action, "the velocity is too large for this n_steps$")
+
+
+@pytest.mark.parametrize("action,sweep_sign", [(GroupAction.GEOMETRIC, 1.0), (GroupAction.MASS_PRESERVING, -1.0)])
+def test_value_and_gradient_nan_jacobian_failure_leaves_out(action, sweep_sign, setup16, monkeypatch):
+    """A NaN Jacobian step fails the backward sweep (sign +1) for the
+    geometric action and the forward sweep (sign -1) for the
+    mass-preserving one."""
+    grid, _, template, data = setup16
+    signs = []
+
+    def nan_step(grid, jac, v_i, feet, n_steps, sign):
+        signs.append(sign)
+        return np.full(grid.shape, np.nan)
+
+    monkeypatch.setattr(flow, "jacobian_step", nan_step)
+    nu = constant_time_field(random_smooth_field(grid, seed=6, amplitude=0.5), 5)
+    assert_failure_leaves_out_unchanged(template, nu, data, action, "^Jacobian determinant became non-finite")
+    assert signs == [sweep_sign]
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_value_and_gradient_non_finite_objective_leaves_out(action, setup16):
+    grid, _, template, data = setup16
+    data.values[1, 5] = np.nan
+    nu = constant_time_field(random_smooth_field(grid, seed=7, amplitude=0.5), 5)
+    assert_failure_leaves_out_unchanged(template, nu, data, action, "^objective or deformed template not finite$")
+
+
+@pytest.mark.parametrize("action", list(GroupAction))
+def test_value_and_gradient_is_the_three_calls(action, setup16):
+    """On success every element of out is written, bit for bit the
+    gradient of evaluate_objective, attach_backprop_field and
+    objective_gradient run by hand, and grad_norm is its velocity norm."""
+    grid, _, template, data = setup16
+    gamma, kern = 0.3, make_kernel(grid, 4.0)
+    nu = constant_time_field(random_smooth_field(grid, seed=8, amplitude=0.5), 5)
+    nu[2] *= 1.5  # not constant in time
+    value, chain, grad_img = evaluate_objective(template, nu, data, action, gamma)
+    expected = objective_gradient(chain, attach_backprop_field(chain, grad_img), kern, gamma, np.empty_like(nu))
+
+    out = np.full_like(nu, SENTINEL)
+    got_value, grad_norm, got_chain = value_and_gradient(template, nu, data, action, gamma, kern, out)
+    assert out.tobytes() == expected.tobytes()
+    assert got_value == value
+    assert grad_norm == np.sqrt(velocity_norm_sq(grid, out))
+    assert got_chain.nu is nu
+    assert got_chain.transported_template.tobytes() == chain.transported_template.tobytes()

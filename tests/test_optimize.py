@@ -221,12 +221,14 @@ def test_non_finite_mass_preserving_jacobian_stops_at_that_iteration(problem32, 
 
 @pytest.mark.parametrize("action", list(GroupAction))
 def test_register_memory_is_bounded(problem32, action):
-    # while an iterate is evaluated only it and the last finite iterate are
-    # held; that one is freed before the gradient is allocated, the next
-    # iterate reuses the gradient's buffer, no Jacobian chain is stored and
-    # a step's displacement lives only while its characteristic is built,
-    # so the peak stays near three velocity arrays and the per-step
-    # temporaries (3.395 geometric, 3.347 mass-preserving here)
+    # a run holds two velocity arrays, the iterate and a spare that takes
+    # each gradient and then the next iterate; no chain outlives its
+    # evaluation, no Jacobian chain is stored and a step's displacement
+    # lives only while its characteristic is built, so the peak is two
+    # velocity arrays, one evaluation's two chains and the per-step
+    # temporaries (3.337 geometric, 3.336 mass-preserving here; 3.336 and
+    # 3.335 with the earlier loop that freed the last iterate between the
+    # sweeps and a freshly allocated gradient)
     grid, geom, template, _, data = problem32
     cfg = small_cfg(action=action, n_steps=20, max_iters=3)
     register(template, data, geom, cfg)  # warm-up: the projector and its caches
