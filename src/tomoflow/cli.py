@@ -8,8 +8,11 @@ flags. Each INI section is built by one callable in ``_SECTIONS``,
 whose parameters are the section's keys, and one reader applies that
 rule to every section. ``register`` and ``suite`` end in ``report``:
 one line per case on stdout, and a line per numerical failure on
-stderr. The single-step commands check their ``--out`` directory before
-any work. Every file is written through ``io``: each image with its PGM
+stderr. Each single-step command (phantom, project, noise, fbp, tv,
+evaluate) is a computation that returns what it makes, and its subparser
+names the writer; one rule, ``run_step``, checks ``--out`` before any
+input is read (an image's preview path, then the directory), computes
+and writes. Every file is written through ``io``: each image with its PGM
 preview, each table as CSV. Exit codes: 0 success, 1 numerical failure
 during optimization, 2 bad arguments or config, 3 I/O failure.
 """
@@ -130,53 +133,46 @@ def load_experiment_config(path) -> SuiteCase:
 # --- commands --------------------------------------------------------------
 
 
-def cmd_phantom(args) -> int:
-    preview_path(args.out)  # a .pgm --out raises here, before any work
-    check_output_dir(args.out)
-    img = make_phantom(PhantomSpec(args.kind, Grid2D(args.size, args.size)))
-    write_image(args.out, img)
-    return EXIT_OK
+def cmd_phantom(args):
+    return make_phantom(PhantomSpec(args.kind, Grid2D(args.size, args.size)))
 
 
-def cmd_project(args) -> int:
-    check_output_dir(args.out)
+def cmd_project(args):
     img = read_igrd(args.image)
-    geom = make_parallel_geometry(img.grid, args.angles, args.detectors)
-    write_isin(args.out, ray_transform(img, geom))
-    return EXIT_OK
+    return ray_transform(img, make_parallel_geometry(img.grid, args.angles, args.detectors))
 
 
-def cmd_noise(args) -> int:
-    check_output_dir(args.out)
-    sino = read_isin(args.sinogram)
-    noisy = add_noise(sino, NoiseSpec(args.snr_db, args.seed))
-    write_isin(args.out, noisy)
-    return EXIT_OK
+def cmd_noise(args):
+    return add_noise(read_isin(args.sinogram), NoiseSpec(args.snr_db, args.seed))
 
 
-def cmd_fbp(args) -> int:
-    preview_path(args.out)  # a .pgm --out raises here, before any work
-    check_output_dir(args.out)
-    rec = fbp(read_isin(args.sinogram), Grid2D(args.size, args.size), args.freq_scaling)
-    write_image(args.out, rec)
-    return EXIT_OK
+def cmd_fbp(args):
+    return fbp(read_isin(args.sinogram), Grid2D(args.size, args.size), args.freq_scaling)
 
 
-def cmd_tv(args) -> int:
-    preview_path(args.out)  # a .pgm --out raises here, before any work
-    check_output_dir(args.out)
+def cmd_tv(args):
     grid = Grid2D(args.size, args.size)
-    rec = tv_reconstruct(read_isin(args.sinogram), grid, TVConfig(mu=args.mu, n_iters=args.iters))
-    write_image(args.out, rec)
-    return EXIT_OK
+    return tv_reconstruct(read_isin(args.sinogram), grid, TVConfig(mu=args.mu, n_iters=args.iters))
 
 
-def cmd_evaluate(args) -> int:
-    check_output_dir(args.out)
+def cmd_evaluate(args):
     img = read_igrd(args.image)
     ref = read_igrd(args.reference)
-    write_table(args.out, ["image", "ssim", "psnr"],
-                [[str(args.image), *format_scores(ssim(img, ref), psnr(img, ref))]])
+    return [[str(args.image), *format_scores(ssim(img, ref), psnr(img, ref))]]
+
+
+def write_scores(path, rows) -> None:
+    write_table(path, ["image", "ssim", "psnr"], rows)
+
+
+def run_step(args) -> int:
+    """Check ``--out`` before any input is read (an image's preview path
+    first, then the directory), then compute the step and write what it
+    made with its subparser's writer."""
+    if args.write is write_image:
+        preview_path(args.out)  # a .pgm --out raises here, before any work
+    check_output_dir(args.out)
+    args.write(args.out, args.compute(args))
     return EXIT_OK
 
 
@@ -215,21 +211,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, help=", ".join(k.value for k in PhantomKind))
     p.add_argument("--size", type=int, default=256)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_phantom)
+    p.set_defaults(fn=run_step, compute=cmd_phantom, write=write_image)
 
     p = sub.add_parser("project", help="ray transform of an IGRD image to ISIN")
     p.add_argument("--image", required=True)
     p.add_argument("--angles", type=int, required=True)
     p.add_argument("--detectors", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_project)
+    p.set_defaults(fn=run_step, compute=cmd_project, write=write_isin)
 
     p = sub.add_parser("noise", help="add calibrated noise to a sinogram")
     p.add_argument("--sinogram", required=True)
     p.add_argument("--snr-db", type=float, required=True)
     p.add_argument("--seed", type=int, default=NoiseSpec.seed)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_noise)
+    p.set_defaults(fn=run_step, compute=cmd_noise, write=write_isin)
 
     p = sub.add_parser("register", help="run indirect registration from a config file")
     p.add_argument("--config", required=True)
@@ -241,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--freq-scaling", type=float, default=0.8)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_fbp)
+    p.set_defaults(fn=run_step, compute=cmd_fbp, write=write_image)
 
     p = sub.add_parser("tv", help="total-variation reconstruction of an ISIN sinogram")
     p.add_argument("--sinogram", required=True)
@@ -249,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--iters", type=int, default=TVConfig.n_iters)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_tv)
+    p.set_defaults(fn=run_step, compute=cmd_tv, write=write_image)
 
     p = sub.add_parser("evaluate", help="SSIM/PSNR of an image against a reference")
     p.add_argument("--image", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_evaluate)
+    p.set_defaults(fn=run_step, compute=cmd_evaluate, write=write_scores)
 
     p = sub.add_parser("suite", help="run a full experiment suite")
     p.add_argument("--id", type=int, required=True)

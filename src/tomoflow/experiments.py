@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .grid import Grid2D
 from .io import write_image, write_isin, write_manifest, write_table
-from .metrics import measure_snr, psnr, ssim
+from .metrics import check_ssim_size, measure_snr, psnr, ssim
 from .optimize import RegistrationConfig, RegistrationResult, register
 from .phantom import NoiseSpec, PhantomKind, PhantomSpec, add_noise, make_phantom
 from .tomo import check_freq_scaling, fbp, make_parallel_geometry, ray_transform
@@ -145,12 +145,14 @@ class CaseResult:
 
 def run_case(case: SuiteCase, out_dir: Path) -> CaseResult:
     """Simulate the case's data, compute its baselines, register, and write
-    every output file. A bad geometry or baseline setting raises before
-    anything is written; ``out_dir`` is made before any work, so a path
-    that cannot be a directory fails at once."""
+    every output file. A bad geometry or baseline setting, or a grid that
+    SSIM's window does not fit, raises before anything is written;
+    ``out_dir`` is made before any work, so a path that cannot be a
+    directory fails at once."""
     geom = make_parallel_geometry(case.grid, case.n_angles, case.n_detectors)
     if case.fbp_freq_scaling is not None:
         check_freq_scaling(case.fbp_freq_scaling)
+    check_ssim_size(min(case.grid.nx, case.grid.ny))  # the result is scored with ssim
     out_dir.mkdir(parents=True, exist_ok=True)
     template = make_phantom(PhantomSpec(case.template_kind, case.grid))
     target = make_phantom(PhantomSpec(case.target_kind, case.grid))

@@ -1,5 +1,6 @@
 """The suite-3 score table, written from each cell's scores, the
-paper-scale suite sizes, and a case's answers read back from its files."""
+paper-scale suite sizes, a case's pre-checks, and a case's answers read
+back from its files."""
 
 import csv
 import json
@@ -79,6 +80,20 @@ def test_read_answers_returns_what_run_case_returned(tmp_path):
         "lowest_E_iteration": lowest,
         "E_rises": rises,
     }
+
+
+@pytest.mark.parametrize("nx,ny", [(10, 10), (64, 10)])
+def test_run_case_refuses_a_grid_that_ssim_cannot_score_before_any_work(tmp_path, monkeypatch, nx, ny):
+    """SSIM scores every case, so a grid its window does not fit raises
+    with the other pre-checks: no directory is made and nothing is solved."""
+    def register(*args):
+        raise AssertionError("run_case registered a case that SSIM cannot score")
+
+    monkeypatch.setattr(experiments, "register", register)
+    case = replace(tiny_suite_case("small"), grid=Grid2D(nx, ny))
+    with pytest.raises(ValueError, match=r"\(the SSIM window\), got 10"):
+        run_case(case, tmp_path / "small")
+    assert not (tmp_path / "small").exists()
 
 
 def write_case(case_dir, totals):

@@ -39,7 +39,7 @@ def test_environment_holds_the_documented_block(record_suites, monkeypatch):
     for value, var in enumerate(record_suites.THREAD_VARS, start=1):
         monkeypatch.setenv(var, str(value))
     env = record_suites.environment()
-    assert set(env) == {"python", "numpy", "scipy", "tomoflow", "nproc", "threads", "commit", "source_sha256"}
+    assert set(env) == {"python", "numpy", "scipy", "tomoflow", "nproc", "threads", "source_sha256"}
     assert env["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "3"}
     # cat src/tomoflow/*.py | sha256sum, in the C locale's name order
     sources = sorted((REPO / "src" / "tomoflow").glob("*.py"), key=lambda path: path.name.encode())

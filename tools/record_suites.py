@@ -4,12 +4,13 @@ Runs each requested suite's cases in this process as ``tomoflow suite
 --id ID`` runs them (``experiments.run_case``, then ``cli.report``), but
 writes no ``suite3_scores.csv``, and reads each case's answers back with
 ``experiments.read_answers``. The record holds an environment block
-(versions, cores, thread variables, the commit and the sha256 of the
-``tomoflow/*.py`` bytes that ran) and, per suite, its wall time and exit
-code and per case the fields of ``read_answers``: ``config_sha256``,
-SSIM, PSNR, iterations, the stop reason, the last E, the lowest E and
-its iteration, and the number of iterations at which E rose (by more
-than ``experiments.E_TOLERANCE`` relative).
+(versions, cores, thread variables and the sha256 of the
+``tomoflow/*.py`` bytes that ran, which names the code whether or not it
+is committed yet) and, per suite, its wall time and exit code and per
+case the fields of ``read_answers``: ``config_sha256``, SSIM, PSNR,
+iterations, the stop reason, the last E, the lowest E and its iteration,
+and the number of iterations at which E rose (by more than
+``experiments.E_TOLERANCE`` relative).
 
 Suites that are not requested are recorded as not run. ``--cases NAME
 ...`` runs only the named cases of the requested suites (each requested
@@ -56,7 +57,6 @@ import importlib.metadata
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -77,18 +77,6 @@ def source_sha256(package_dir: Path) -> str:
 def environment() -> dict:
     import tomoflow
 
-    package_dir = Path(tomoflow.__file__).resolve().parent
-
-    def git(*args: str) -> str:
-        return subprocess.run(["git", *args], cwd=package_dir, capture_output=True, text=True,
-                              timeout=10).stdout.strip()
-
-    try:
-        commit = git("rev-parse", "HEAD") or "unknown"
-        if git("status", "--porcelain", "--", "."):
-            commit += " with uncommitted changes to the package"
-    except (OSError, subprocess.TimeoutExpired):
-        commit = "unknown"
     return {
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
@@ -96,8 +84,7 @@ def environment() -> dict:
         "tomoflow": tomoflow.__version__,
         "nproc": len(os.sched_getaffinity(0)),
         "threads": {var: os.environ[var] for var in THREAD_VARS},
-        "commit": commit,
-        "source_sha256": source_sha256(package_dir),
+        "source_sha256": source_sha256(Path(tomoflow.__file__).resolve().parent),
     }
 
 
