@@ -28,7 +28,7 @@ class GroupAction(enum.Enum):
         this action's Jacobian determinant (see ``flow``).
 
         +1 for GEOMETRIC: the Jacobian to time 1, |Dphi_{t_i,1}|, stepped
-        from A_N = 1 by the backward sweep (i = N-1..0), which stores it
+        from A_N = 1 by the backward sweep (i = N-1..0), which yields it
         times the back-propagated field; the velocity gradient
         differentiates the forward chain (the transported template) and
         subtracts the smoothed moment.
@@ -37,9 +37,9 @@ class GroupAction(enum.Enum):
         stepped from A_0 = 1 by the forward sweep (i = 1..N), which
         stores it times the transported template, so that chain is the
         template under the action; the velocity gradient differentiates
-        the backward chain and adds the smoothed moment.
+        the backward sweep's slices and adds the smoothed moment.
 
-        The other sweep stores its plain pull chain.
+        The other sweep gives its plain pulled images.
         """
         return 1.0 if self is GroupAction.GEOMETRIC else -1.0
 

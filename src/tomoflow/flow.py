@@ -10,31 +10,35 @@ recursions are stepped instead of dense deformation maps:
 * Jacobian              A_i = (1 + s div v_i/N) A_{i+s} o (Id + s v_i/N),
   stepped from 1 by the sweep of sign s = ``action.jacobian_sign``
 
-Two chains are stored, each one ``(N+1, ny, nx)`` array filled slice by
-slice: the sweep of sign ``action.jacobian_sign`` stores A times its
-pulled image, the other its pulled image alone. Which sweep that is for
-each action is stated once, in ``GroupAction.jacobian_sign``.
+The forward chain is stored, one ``(N+1, ny, nx)`` array filled slice
+by slice; the backward one is streamed. The sweep of sign
+``action.jacobian_sign`` gives A times its pulled image, the other its
+pulled image alone. Which sweep that is for each action is stated once,
+in ``GroupAction.jacobian_sign``.
 
-One routine runs both sweeps along Id + sign v_i/N: each step builds
-one characteristic (the corner indices and bilinear weights of the feet
-x + sign v_i(x)/N, see ``grid.characteristics``), and the image and
-the Jacobian that step with that sign pull through it:
+One routine runs both sweeps along Id + sign v_i/N, yielding ``(i,
+slice)`` in sweep order: each step builds one characteristic (the
+corner indices and bilinear weights of the feet x + sign v_i(x)/N, see
+``grid.characteristics``), and the image and the Jacobian that step
+with that sign pull through it:
 
-* ``build_flow_chain``, the forward sweep (sign -1, i = 1..N);
+* ``build_flow_chain``, the forward sweep (sign -1, i = 1..N), which
+  stores its slices in the chain it returns;
 * ``attach_backprop_field``, the backward sweep (sign +1, i = N-1..0),
-  which returns its chain as a plain array.
+  which hands its slices to the caller one at a time and stores none.
 
 Before any pull, ``build_flow_chain`` checks every step factor
 1 + s div v_i/N of the action's Jacobian, so for either action a
-too-large velocity fails while the objective is evaluated. Each sweep
-allocates the chain it returns; a step's displacement lives only
-while its characteristic is built, and that characteristic is freed
-before the next step builds its own. Nothing is shared between
-evaluations, and a chain is a function of its velocity alone.
+too-large velocity fails while the objective is evaluated. A step's
+displacement lives only while its characteristic is built, and that
+characteristic is freed before the step's slice is yielded. Nothing is
+shared between evaluations, and a chain is a function of its velocity
+alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,16 +110,20 @@ def build_flow_chain(template: ScalarImage, nu: np.ndarray, action: GroupAction)
         raise GridMismatchError(f"velocity shape {nu.shape} does not match template grid {grid.shape}")
     for i in _steps(n, action.jacobian_sign):
         _check_step_factor(grid, nu[i], n, action.jacobian_sign, i)
-    return FlowChain(grid, action, nu, _sweep(grid, nu, template.values, -1.0, action))
+    transported = np.empty((n + 1,) + grid.shape)
+    for i, image in _sweep(grid, nu, template.values, -1.0, action):
+        transported[i] = image
+    return FlowChain(grid, action, nu, transported)
 
 
-def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage) -> np.ndarray:
-    """Run the backward sweep along the chain's velocity: a fresh
-    (N+1, ny, nx) array whose slice i is grad_image composed to time
+def attach_backprop_field(chain: FlowChain, grad_image: ScalarImage) -> Iterator[tuple[int, np.ndarray]]:
+    """The backward sweep along the chain's velocity, as a generator of
+    ``(i, slice)`` for i = N..0: slice i is grad_image composed to time
     t_i, times the Jacobian when ``chain.action.jacobian_sign`` is +1.
+    Each slice is computed when it is asked for, and none is kept.
 
-    Raises FlowStabilityError when that Jacobian image stops being
-    finite.
+    Raises FlowStabilityError, while it is consumed, when that Jacobian
+    image stops being finite.
     """
     return _sweep(chain.grid, chain.nu, grad_image.values, 1.0, chain.action)
 
@@ -127,27 +135,25 @@ def _steps(n_steps: int, sign: float) -> range:
 
 def _sweep(
     grid: Grid2D, nu: np.ndarray, start: np.ndarray, sign: float, action: GroupAction
-) -> np.ndarray:
-    """Pull ``start`` along Id + sign v_i/N into a fresh chain; slice 0
-    (sign -1) or N (sign +1) is ``start``. When ``sign`` is
-    ``action.jacobian_sign`` it also steps the action's Jacobian from 1
-    through the same feet and stores its product with each pulled image."""
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Pull ``start`` along Id + sign v_i/N, yielding ``(i, slice)`` in
+    sweep order from ``start`` itself at i = 0 (sign -1) or N (sign +1).
+    When ``sign`` is ``action.jacobian_sign`` it also steps the action's
+    Jacobian from 1 through the same feet and yields its product with
+    each pulled image. The consumer must not write into a slice."""
     n = len(nu) - 1
-    chain = np.empty((n + 1,) + grid.shape)
-    chain[0 if sign < 0 else n] = start
+    carries_jacobian = sign == action.jacobian_sign
+    yield (0 if sign < 0 else n), start
     pulled, jac = start, np.ones(grid.shape)
     for i in _steps(n, sign):
         feet = characteristics(grid, (sign / n) * nu[i])
         pulled = sample_bilinear(grid, pulled, feet)
-        if sign == action.jacobian_sign:
+        if carries_jacobian:
             jac = jacobian_step(grid, jac, nu[i], feet, n, sign)
             if not np.isfinite(jac).all():
                 raise FlowStabilityError(f"Jacobian determinant became non-finite at time index {i}")
-            np.multiply(jac, pulled, out=chain[i])
-        else:
-            chain[i] = pulled
-        del feet  # freed before the next step builds its own
-    return chain
+        del feet  # freed before the consumer runs and the next step builds its own
+        yield i, (jac * pulled if carries_jacobian else pulled)
 
 
 def _step_factor(grid: Grid2D, v: np.ndarray, n_steps: int, sign: float) -> np.ndarray:

@@ -15,10 +15,16 @@ are flushed to 0, so the Gaussian's far tail adds no subnormal products.
 (a grid with ny = nx and hy = hx has one factor for both axes), and
 keeps the eigenpairs whose eigenvalue is above ``RANK_CUT`` times the
 largest: 49 of each factor at sigma 2 on the default 32 x 32 domain,
-whatever the pixel count. ``smooth`` then computes, per component,
-``Uy (lam_y lam_x^T * (Uy^T u Ux)) Ux^T``: four thin products in place
-of two dense n x n ones. The dropped eigenpairs and the rounding of the
-basis make an absolute error against the dense sum: about 1e-15 of the
+whatever the pixel count. The kernel's range is spanned by the kept
+basis, so a smoothed field is held as its ``(2, ry, rx)`` coefficients
+c, the field being ``Uy c Ux^T``. ``smooth`` returns those coefficients,
+``lam_y lam_x^T * (Uy^T u Ux)``, and ``expand`` the field of any stack
+``(..., 2, ry, rx)`` of them: four thin products in place of two dense
+n x n ones. The columns of each basis are orthonormal, so the L2 norm
+of a field equals that of its coefficients, to rounding.
+
+The dropped eigenpairs and the rounding of the basis make an absolute
+error of ``expand(smooth(u))`` against the dense sum: about 1e-15 of the
 peak for an impulse, and 4e-15 to 8e-15 of the largest entry for random
 fields on the suite kernels. So far-tail entries are not correct to
 relative precision. Every kept eigenvalue is positive, so the smoothing
@@ -77,9 +83,19 @@ def make_kernel(grid: Grid2D, sigma: float) -> KernelSpec:
 
 
 def smooth(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """Componentwise kernel integral of a (2, ny, nx) field, into a fresh array."""
+    """Componentwise kernel integral of a (2, ny, nx) field, as fresh
+    (2, ry, rx) coefficients in the kept basis (see ``expand``)."""
     if u.shape != (2,) + spec.grid.shape:
         raise GridMismatchError(f"field shape {u.shape} does not match kernel grid {spec.grid.shape}")
     coef = np.matmul(np.matmul(spec.basis_y.T, u), spec.basis_x)
     coef *= spec.eig_xy
+    return coef
+
+
+def expand(spec: KernelSpec, coef: np.ndarray) -> np.ndarray:
+    """The fresh (..., 2, ny, nx) fields of a (..., 2, ry, rx) stack of
+    coefficients in the kept basis."""
+    if coef.shape[-3:] != (2,) + spec.eig_xy.shape:
+        raise GridMismatchError(
+            f"coefficient shape {coef.shape} does not match the kernel's kept basis {spec.eig_xy.shape}")
     return np.matmul(np.matmul(spec.basis_y, coef), spec.basis_x.T)

@@ -17,21 +17,25 @@ gradient gradL(f) = 2 T*(T(f) - g), each composed to time t_i. The
 moment field is zeroed on the one-pixel boundary ring where one-sided
 differences would otherwise inject spurious forces.
 
-The velocity ``nu`` and its gradient are ``(N+1, 2, ny, nx)`` arrays
-(see ``flow``). ``value_and_gradient`` is one evaluation: E, then the
-backward sweep (``flow.attach_backprop_field``), then the gradient,
-written into the caller's array. The forward sweep allocates its
-chain, held with ``nu`` in a ``FlowChain``, from which the backward
-sweep and ``objective_gradient`` read the velocity; the backward sweep
-allocates the second ``(N+1, ny, nx)`` chain. The gradient allocates no
-velocity-sized array. Per time sample, the moment is built in the
-``(2, ny, nx)`` array that ``gradient`` returns and its smoothing is one
-more of that size.
+The velocity ``nu`` is an ``(N+1, 2, ny, nx)`` array (see ``flow``).
+Every velocity the descent makes is in the kernel's range, so
+``value_and_gradient`` takes it as ``(N+1, 2, ry, rx)`` coefficients in
+the kernel's kept basis (see ``kernel``) and returns the gradient as
+the same: 2 gamma c_i - s smooth(m_i), with c the velocity's
+coefficients. The basis is orthonormal, so the gradient's velocity norm
+is taken on its coefficients. One evaluation expands the coefficients
+into one fresh dense ``nu``, which the forward sweep's ``FlowChain``
+holds with its chain, evaluates E, and then consumes the backward sweep
+(``flow.attach_backprop_field``) one slice at a time: each slice is
+turned at once into its time sample's moment and smoothed, so no
+backward chain is stored. Per time sample, the moment is built in the
+``(2, ny, nx)`` array that ``gradient`` returns.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +43,7 @@ import numpy as np
 from .action import GroupAction, deform
 from .flow import FlowChain, FlowStabilityError, attach_backprop_field, build_flow_chain
 from .grid import Grid2D, ScalarImage, gradient
-from .kernel import KernelSpec, smooth
+from .kernel import KernelSpec, expand, smooth
 from .tomo import Sinogram, back_projection, ray_transform
 
 
@@ -70,7 +74,9 @@ def data_term(f: ScalarImage, g: Sinogram) -> tuple[float, ScalarImage]:
 
 
 def velocity_norm_sq(grid: Grid2D, nu: np.ndarray) -> float:
-    """Squared discrete velocity norm: trapezoid in time, L2 in space."""
+    """Squared discrete velocity norm: trapezoid in time, L2 in space.
+    ``nu`` may also be a velocity's coefficients in the kernel's
+    orthonormal basis, whose norm is the velocity's to rounding."""
     return float(grid.cell_area * (time_weights(len(nu) - 1) @ np.einsum("tcij,tcij->t", nu, nu)))
 
 
@@ -83,25 +89,31 @@ def _zero_boundary_ring(arr: np.ndarray) -> np.ndarray:
 
 
 def objective_gradient(
-    chain: FlowChain, backprop_field: np.ndarray, kernel: KernelSpec, gamma: float, out: np.ndarray
+    chain: FlowChain, backprop: Iterable[tuple[int, np.ndarray]], kernel: KernelSpec, gamma: float,
+    coef: np.ndarray,
 ) -> np.ndarray:
-    """Write the velocity gradient of E at the chain's velocity into
-    ``out``, an array shaped like it, and return ``out``. It is built
-    from the flow chain and its backward chain;
-    ``chain.action.jacobian_sign`` picks which array is differentiated
-    and the moment's sign."""
-    if chain.action.jacobian_sign > 0:  # the backward sweep carries the Jacobian
-        scaled, differentiated, combine = backprop_field, chain.transported_template, np.subtract
-    else:
-        scaled, differentiated, combine = chain.transported_template, backprop_field, np.add
-    grid = kernel.grid
-    for i, v in enumerate(chain.nu):
+    """The velocity gradient of E at the chain's velocity, whose
+    coefficients in the kernel's basis are ``coef``, as a fresh array of
+    coefficients shaped like ``coef``.
+
+    ``backprop`` is the backward sweep's ``(i, slice)`` pairs
+    (``attach_backprop_field``), consumed one at a time;
+    ``chain.action.jacobian_sign`` picks which of a slice and the forward
+    chain's slice i is differentiated, and the moment's sign.
+    """
+    sign = chain.action.jacobian_sign
+    combine = np.subtract if sign > 0 else np.add
+    grad = np.empty_like(coef)
+    for i, back in backprop:
+        forward = chain.transported_template[i]
+        # the slice of the sweep that carries the Jacobian scales the moment
+        scaled, differentiated = (back, forward) if sign > 0 else (forward, back)
         # the moment is built in the array gradient() returns
-        moment = gradient(grid, differentiated[i])
-        moment *= scaled[i]
-        np.multiply(v, 2.0 * gamma, out=out[i])
-        combine(out[i], smooth(kernel, _zero_boundary_ring(moment)), out=out[i])
-    return out
+        moment = gradient(kernel.grid, differentiated)
+        moment *= scaled
+        np.multiply(coef[i], 2.0 * gamma, out=grad[i])
+        combine(grad[i], smooth(kernel, _zero_boundary_ring(moment)), out=grad[i])
+    return grad
 
 
 def evaluate_objective(
@@ -128,19 +140,19 @@ def evaluate_objective(
 
 
 def value_and_gradient(
-    template: ScalarImage, nu: np.ndarray, data: Sinogram, action: GroupAction, gamma: float,
-    kernel: KernelSpec, out: np.ndarray,
-) -> tuple[ObjectiveValue, float, FlowChain]:
-    """E(nu) and its velocity gradient, written into ``out``.
+    template: ScalarImage, coef: np.ndarray, data: Sinogram, action: GroupAction, gamma: float,
+    kernel: KernelSpec,
+) -> tuple[ObjectiveValue, np.ndarray, float, FlowChain]:
+    """E and its velocity gradient at the velocity whose coefficients in
+    the kernel's basis are ``coef``, an (N+1, 2, ry, rx) array.
 
-    Returns (value, grad_norm, chain): grad_norm is the velocity norm of
-    the gradient and chain the flow chain of nu. Raises
+    Returns (value, grad, grad_norm, chain): grad is a fresh coefficient
+    array shaped like ``coef``, grad_norm the velocity norm of the
+    gradient and chain the flow chain of the velocity, which holds it
+    expanded as a fresh (N+1, 2, ny, nx) array. Raises
     FlowStabilityError when either sweep fails or the objective is not
     finite (see ``evaluate_objective`` and ``attach_backprop_field``).
-    ``out`` is written only after both sweeps have succeeded, so a
-    failure leaves it as it was. ``out`` must not be ``nu``, which the
-    chain holds.
     """
-    value, chain, grad_image = evaluate_objective(template, nu, data, action, gamma)
-    objective_gradient(chain, attach_backprop_field(chain, grad_image), kernel, gamma, out)
-    return value, math.sqrt(velocity_norm_sq(template.grid, out)), chain
+    value, chain, grad_image = evaluate_objective(template, expand(kernel, coef), data, action, gamma)
+    grad = objective_gradient(chain, attach_backprop_field(chain, grad_image), kernel, gamma, coef)
+    return value, grad, math.sqrt(velocity_norm_sq(template.grid, grad)), chain

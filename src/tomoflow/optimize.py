@@ -11,7 +11,7 @@ import numpy as np
 from .action import GroupAction
 from .flow import FlowChain, FlowStabilityError, build_flow_chain
 from .grid import ScalarImage, check_count, check_real
-from .kernel import make_kernel
+from .kernel import expand, make_kernel
 from .objective import ObjectiveValue, value_and_gradient
 from .tomo import Sinogram, SinogramGeometry
 
@@ -101,37 +101,35 @@ def register(
     a non-finite gradient norm), in which case the last finite iterate
     is returned.
 
-    A run holds two velocity arrays, the iterate and a spare, and
-    alternates them. Until both sweeps of the iterate have passed, the
-    spare holds the last finite iterate; then it receives the iterate's
-    gradient, is scaled into the step and becomes the next iterate,
-    while the iterate becomes the spare. So an evaluation holds two
-    velocity arrays and its own two chains, and no chain outlives its
-    evaluation. On a numerical failure in an evaluation, the returned
-    trajectory is rebuilt from the last finite iterate with
-    ``build_flow_chain``; at iteration 0 that is the zero field.
+    A run holds three coefficient arrays in the kernel's kept basis (see
+    ``kernel``): the iterate, the last finite iterate and the iterate's
+    gradient, which the step scales in place and turns into the next
+    iterate. An evaluation expands the iterate into one dense velocity
+    array, which its flow chain holds, and stores one chain, the
+    forward one; neither outlives the evaluation. On a numerical failure
+    in an evaluation, the returned trajectory is rebuilt from the last
+    finite iterate with ``build_flow_chain``; at iteration 0 that is the
+    zero field.
     """
     if data.geometry != geom:
         raise ValueError("sinogram geometry does not match the requested geometry")
     grid = template.grid
     kern = make_kernel(grid, cfg.sigma)
-    shape = (cfg.n_steps + 1, 2) + grid.shape
-    nu, spare = np.zeros(shape), np.zeros(shape)
+    coef = last = np.zeros((cfg.n_steps + 1, 2) + kern.eig_xy.shape)
 
     history: list[ObjectiveValue] = []
     grad_norms: list[float] = []
 
     def stop(k: int, reason: StopReason, detail: str = "", chain: FlowChain | None = None):
-        if chain is None:  # this evaluation failed: the spare is the last finite iterate
-            chain = build_flow_chain(template, spare, cfg.action)
+        if chain is None:  # this evaluation failed: rebuild from the last finite iterate
+            chain = build_flow_chain(template, expand(kern, last), cfg.action)
         trajectory = [ScalarImage(grid, f) for f in chain.transported_template]
         return RegistrationResult(chain.nu, trajectory, history, grad_norms, k, reason, detail)
 
-    def evaluate(k: int) -> RegistrationResult | None:
-        """Iteration k's evaluation at nu: the run's result if it ends the run."""
+    for k in range(cfg.max_iters + 1):
         try:
-            value, grad_norm, chain = value_and_gradient(
-                template, nu, data, cfg.action, cfg.gamma, kern, spare)
+            value, grad, grad_norm, chain = value_and_gradient(
+                template, coef, data, cfg.action, cfg.gamma, kern)
         except FlowStabilityError as exc:
             return stop(k, StopReason.NUMERICAL_FAILURE, f"iteration {k}: {exc}")
         history.append(value)
@@ -142,12 +140,8 @@ def register(
             return stop(k, StopReason.GRAD_TOL, chain=chain)
         if k == cfg.max_iters:
             return stop(k, StopReason.MAX_ITERS, chain=chain)
-        return None
-
-    for k in range(cfg.max_iters + 1):
-        if (result := evaluate(k)) is not None:
-            return result
-        spare *= cfg.alpha  # the step
-        nu, spare = np.subtract(nu, spare, out=spare), nu
+        del chain  # its dense velocity and chain are not held into the next evaluation
+        grad *= cfg.alpha  # the step
+        coef, last = np.subtract(coef, grad, out=grad), coef
 
     raise AssertionError("unreachable")

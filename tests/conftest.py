@@ -5,7 +5,7 @@ import pytest
 
 from tomoflow import Grid2D, NoiseSpec, PhantomKind, RegistrationConfig, ScalarImage
 from tomoflow.experiments import SuiteCase
-from tomoflow.kernel import make_kernel, smooth
+from tomoflow.kernel import expand, make_kernel, smooth
 
 
 @pytest.fixture
@@ -33,7 +33,8 @@ def random_smooth_field(grid, seed, sigma=4.0, amplitude=1.0):
     a (2, ny, nx) array."""
     rng = np.random.default_rng(seed)
     raw = np.stack((rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)))
-    s = smooth(make_kernel(grid, sigma), raw)
+    spec = make_kernel(grid, sigma)
+    s = expand(spec, smooth(spec, raw))
     return amplitude * s / np.abs(s).max()
 
 

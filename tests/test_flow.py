@@ -35,10 +35,18 @@ def jacobian_by_steps(grid, jac, v_i, n_steps, sign):
     return jacobian_step(grid, jac, v_i, step_feet(grid, v_i, n_steps, sign), n_steps, sign)
 
 
+def backward_chain(chain, grad_image):
+    """The backward sweep's slices, stacked by time index."""
+    back = np.empty_like(chain.transported_template)
+    for i, image in attach_backprop_field(chain, grad_image):
+        back[i] = image
+    return back
+
+
 def both_chains(template, nu, action, grad_image):
     """The forward chain and the backward one: both sweeps run."""
     chain = build_flow_chain(template, nu, action)
-    return chain.transported_template, attach_backprop_field(chain, grad_image)
+    return chain.transported_template, backward_chain(chain, grad_image)
 
 
 def jacobian_carrier(grid, nu, action):
@@ -152,14 +160,18 @@ def test_backpropagate_shifts_ramp(grid32):
 
 
 def test_backward_sweep_returns_its_chain_and_leaves_the_flow_chain_as_built(grid16):
+    # the backward chain is returned as a stream of (i, slice), none kept
     nu = np.zeros((4, 2) + grid16.shape)
     chain = build_flow_chain(ScalarImage.full(grid16, 2.0), nu, GroupAction.GEOMETRIC)
-    back = attach_backprop_field(chain, ScalarImage.full(grid16, 3.0))
-    np.testing.assert_array_equal(back, np.full((4,) + grid16.shape, 3.0))
+    sweep = attach_backprop_field(chain, ScalarImage.full(grid16, 3.0))
+    slices = list(sweep)
+    assert [i for i, _ in slices] == [3, 2, 1, 0]  # sweep order, start first
+    np.testing.assert_array_equal(np.asarray([image for _, image in slices]), 3.0)
     assert [f.name for f in dataclasses.fields(chain)] == ["grid", "action", "nu", "transported_template"]
     assert chain.nu is nu  # held, not copied
+    np.testing.assert_array_equal(chain.transported_template, 2.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        chain.transported_template = back
+        chain.transported_template = slices[0][1]
 
 
 def test_zero_field_gives_identity_chain(grid32):

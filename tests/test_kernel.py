@@ -6,7 +6,8 @@ import scipy.signal
 
 from tomoflow import Grid2D, GridMismatchError
 import tomoflow.kernel as kernel
-from tomoflow.kernel import _eigenpairs, _gram, make_kernel, smooth
+from conftest import random_smooth_field
+from tomoflow.kernel import _eigenpairs, _gram, expand, make_kernel, smooth
 
 
 def kernel_value(spec, x, y):
@@ -18,6 +19,11 @@ def kernel_value(spec, x, y):
 
 def random_field(rng, grid):
     return np.stack((rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)))
+
+
+def smoothed(spec, u):
+    """The kernel integral of a (2, ny, nx) field as a dense field."""
+    return expand(spec, smooth(spec, u))
 
 
 def brute_force_smooth(grid, sigma, vf):
@@ -34,7 +40,7 @@ def brute_force_smooth(grid, sigma, vf):
 
 def assert_matches_brute_force(grid, sigma, seed):
     vf = random_field(np.random.default_rng(seed), grid)
-    out = smooth(make_kernel(grid, sigma), vf)
+    out = smoothed(make_kernel(grid, sigma), vf)
     for got, ref in zip(out, brute_force_smooth(grid, sigma, vf)):
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-12
 
@@ -70,7 +76,7 @@ def test_smooth_impulse_gives_kernel_profile(grid16):
     spec = make_kernel(grid16, 2.0)
     u = np.zeros((2,) + grid16.shape)
     u[0, 8, 8] = 1.0
-    out = smooth(spec, u)
+    out = smoothed(spec, u)
     X, Y = grid16.meshgrid()
     expected = kernel_value(spec, np.stack((X, Y), axis=-1), (X[8, 8], Y[8, 8])) * grid16.cell_area
     # the eigenbasis error is absolute: 1.3e-15 of the peak (4) measured,
@@ -114,7 +120,7 @@ def test_smooth_symmetry(grid16):
     for _ in range(5):
         u = random_field(rng, grid16)
         v = random_field(rng, grid16)
-        su, sv = smooth(spec, u), smooth(spec, v)
+        su, sv = smoothed(spec, u), smoothed(spec, v)
         lhs = area * np.sum(su * v)
         rhs = area * np.sum(u * sv)
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-10
@@ -125,7 +131,7 @@ def test_smooth_positive_semidefinite(grid16):
     rng = np.random.default_rng(7)
     for _ in range(10):
         u = random_field(rng, grid16)
-        assert np.sum(smooth(spec, u) * u) >= 0.0
+        assert np.sum(smoothed(spec, u) * u) >= 0.0
 
 
 def test_smoothing_operator_is_positive_semidefinite(grid16):
@@ -134,7 +140,7 @@ def test_smoothing_operator_is_positive_semidefinite(grid16):
     n = grid16.nx * grid16.ny
     impulses = np.zeros((n, 2) + grid16.shape)
     impulses.reshape(n, 2, n)[np.arange(n), 0, np.arange(n)] = 1.0
-    op = np.stack([smooth(spec, u)[0].ravel() for u in impulses], axis=1)
+    op = np.stack([smoothed(spec, u)[0].ravel() for u in impulses], axis=1)
     # symmetric to rounding only: 8.9e-16 against a largest entry of 4 measured
     assert np.abs(op - op.T).max() <= 1e-15 * np.abs(op).max()
     eig = np.linalg.eigvalsh(op)
@@ -247,7 +253,7 @@ def full_linear_reference(grid, sigma, comp):
 def test_smooth_matches_full_linear_convolution(grid, sigma):
     spec = make_kernel(grid, sigma)
     vf = random_field(np.random.default_rng(13), grid)
-    out = smooth(spec, vf)
+    out = smoothed(spec, vf)
     for got, comp in zip(out, vf):
         ref = full_linear_reference(grid, sigma, comp)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -257,3 +263,56 @@ def test_smooth_grid_mismatch(grid16, grid32):
     spec = make_kernel(grid16, 2.0)
     with pytest.raises(GridMismatchError):
         smooth(spec, np.zeros((2,) + grid32.shape))
+
+
+def dense_smoothing(spec, u):
+    """The smoothing as one dense formula, Uy (lam_y lam_x^T * (Uy^T u Ux)) Ux^T,
+    with the same four products in the same order."""
+    coef = np.matmul(np.matmul(spec.basis_y.T, u), spec.basis_x)
+    coef *= spec.eig_xy
+    return np.matmul(np.matmul(spec.basis_y, coef), spec.basis_x.T)
+
+
+@pytest.mark.parametrize(
+    "grid,sigma",
+    [
+        (Grid2D(64, 64), 6.0),
+        (Grid2D(128, 128), 2.0),
+        (Grid2D(40, 27, -10.0, 10.0, -5.0, 8.0), 1.5),
+    ],
+    ids=["64_sigma6", "128_sigma2", "non_square"],
+)
+def test_expand_of_smooth_is_the_dense_formula_bit_for_bit(grid, sigma):
+    spec = make_kernel(grid, sigma)
+    vf = random_field(np.random.default_rng(15), grid)
+    coef = smooth(spec, vf)
+    assert coef.shape == (2,) + spec.eig_xy.shape
+    assert expand(spec, coef).tobytes() == dense_smoothing(spec, vf).tobytes()
+    # a stack of coefficients expands slice by slice, bit for bit
+    stack = np.stack([coef, 0.5 * coef, -coef])
+    for got, want in zip(expand(spec, stack), stack):
+        assert got.tobytes() == expand(spec, want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid,sigma,seed",
+    [(Grid2D(32, 32), 4.0, 3), (Grid2D(40, 27, -10.0, 10.0, -5.0, 8.0), 3.0, 8)],
+    ids=["32_sigma4", "non_square"],
+)
+def test_random_smooth_field_is_the_dense_formula(grid, sigma, seed):
+    rng = np.random.default_rng(seed)
+    raw = np.stack((rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)))
+    dense = dense_smoothing(make_kernel(grid, sigma), raw)
+    want = 0.5 * dense / np.abs(dense).max()
+    assert random_smooth_field(grid, seed, sigma, amplitude=0.5).tobytes() == want.tobytes()
+
+
+def test_expand_grid_mismatch(grid16, grid64):
+    spec = make_kernel(grid64, 2.0)
+    rank = spec.eig_xy.shape
+    assert rank == (47, 47)  # so a dense field is not a coefficient array
+    for shape in [(2,) + grid64.shape, (3,) + rank, (2, rank[0] + 1, rank[1]), (4, 1) + rank, rank]:
+        with pytest.raises(GridMismatchError, match="does not match the kernel's kept basis"):
+            expand(spec, np.zeros(shape))
+    with pytest.raises(GridMismatchError):
+        expand(spec, smooth(make_kernel(grid16, 2.0), np.zeros((2,) + grid16.shape)))
